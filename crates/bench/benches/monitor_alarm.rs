@@ -1,21 +1,14 @@
 //! Monitor benchmarks: the steady-state slide cost (`O(log w)` per
-//! observation) and the alarm cost, before/after the incremental reference
-//! index.
-//!
-//! "Before" is the PR-4-era alarm body — re-sort the reference window into
-//! the index (`ReferenceIndex::rebuild_from`, `O(w log w)`) and run the
-//! allocating `SpectralResidual::scores` — replayed on equivalent windows;
-//! "after" is [`DriftMonitor::explain_current`]: the incrementally
-//! maintained order statistics re-synced without sorting (delta patching)
-//! plus the scratch-backed `scores_into`, zero heap allocations once warm.
-//! The stream shape and the replay body are shared with the
+//! observation) and the alarm cost of [`DriftMonitor::explain_current`] /
+//! [`DriftMonitor::size_current`] (copy the windows, sort the reference
+//! into the index, scratch-backed SR scoring; zero heap allocations once
+//! warm). The stream shape and the alarm iteration are shared with the
 //! `BENCH_core.json` evidence suite (`moche_bench::perf`), so the two
 //! measurements can never drift apart.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use moche_bench::perf::{
     alarm_explain_iteration, alarm_size_iteration, alarmed_monitor, monitor_observation,
-    RebuildAlarmReplay,
 };
 use moche_stream::{DriftMonitor, MonitorConfig};
 use std::hint::black_box;
@@ -34,7 +27,7 @@ fn bench_steady_state_slides(c: &mut Criterion) {
         }
         group.bench_with_input(BenchmarkId::new("push", w), &w, |b, _| {
             b.iter(|| {
-                // Stationary stream: three O(log w) treap slides plus the
+                // Stationary stream: three O(log w) treap updates plus the
                 // O(1) decision, never an alarm.
                 let event = mon.push(black_box(monitor_observation(i, w, false)));
                 i += 1;
@@ -49,27 +42,18 @@ fn bench_alarm_paths(c: &mut Criterion) {
     let mut group = c.benchmark_group("monitor_alarm");
     group.sample_size(10);
     for &w in &[1_000usize, 10_000] {
-        // After: the monitor's incremental alarm path (no sort, recycled
-        // scratch end to end). Each iteration slides once first, so the
-        // index re-materialization is honestly re-done per alarm; the
-        // helper re-seeds the monitor on the rare iteration where the
-        // drift has fully traversed the window pair.
+        // Each iteration slides once first, so every alarm sees new
+        // windows; the helper re-seeds the monitor on the rare iteration
+        // where the drift has fully traversed the window pair.
         let mut mon = alarmed_monitor(w);
         let mut at = 2 * w;
-        group.bench_with_input(BenchmarkId::new("explain_incremental", w), &w, |b, _| {
+        group.bench_with_input(BenchmarkId::new("explain", w), &w, |b, _| {
             b.iter(|| black_box(alarm_explain_iteration(&mut mon, &mut at, w)))
         });
         let mut sized = alarmed_monitor(w);
         let mut at = 2 * w;
-        group.bench_with_input(BenchmarkId::new("size_only_incremental", w), &w, |b, _| {
+        group.bench_with_input(BenchmarkId::new("size_only", w), &w, |b, _| {
             b.iter(|| black_box(alarm_size_iteration(&mut sized, &mut at, w)))
-        });
-
-        // Before: the per-alarm flatten + reference re-sort plus the
-        // allocating Spectral Residual, on equivalent windows.
-        let mut replay = RebuildAlarmReplay::new(&alarmed_monitor(w));
-        group.bench_with_input(BenchmarkId::new("explain_rebuild_sorted", w), &w, |b, _| {
-            b.iter(|| black_box(replay.alarm_once()))
         });
     }
     group.finish();

@@ -25,7 +25,6 @@ use moche_multidim::{
     ks2d_statistic, ks2d_statistic_indexed, Explain2dEngine, Explanation2dArena, GreedyImpact2d,
     Ks2dConfig, Point2, RankIndex2d, Scratch2d,
 };
-use moche_sigproc::SpectralResidual;
 use moche_stream::{DriftMonitor, FleetConfig, MonitorConfig, MonitorFleet};
 use std::hint::black_box;
 use std::time::Instant;
@@ -433,7 +432,7 @@ pub fn alarmed_monitor(w: usize) -> DriftMonitor {
 }
 
 /// One measured alarm iteration: slide once (a real alarm always follows
-/// a push, so the index re-materialization is honestly re-done), then
+/// a push, so the windows differ from the previous alarm's), then
 /// explain and recycle. Every slide promotes one shifted value into the
 /// reference window, so after ~`w` iterations the drift has fully
 /// traversed the pair and the KS test passes again; when that happens the
@@ -471,64 +470,9 @@ pub fn alarm_size_iteration(mon: &mut DriftMonitor, at: &mut usize, w: usize) ->
     }
 }
 
-/// The PR-4-era alarm body — re-flatten both windows, re-sort the
-/// reference into the index (`ReferenceIndex::rebuild_from`), allocating
-/// `SpectralResidual::scores` — kept as a reusable replay so the criterion
-/// bench and the evidence suite measure the identical "before" path.
-pub struct RebuildAlarmReplay {
-    reference: Vec<f64>,
-    test: Vec<f64>,
-    engine: ExplainEngine,
-    arena: ExplanationArena,
-    index: ReferenceIndex,
-    sort_scratch: Vec<f64>,
-    ref_scratch: Vec<f64>,
-    test_scratch: Vec<f64>,
-    pref: PreferenceList,
-    sr: SpectralResidual,
-}
-
-impl RebuildAlarmReplay {
-    /// Snapshots a failing monitor's windows for replay.
-    pub fn new(mon: &DriftMonitor) -> Self {
-        let reference = mon.reference_window();
-        let index = ReferenceIndex::new(&reference).unwrap();
-        Self {
-            reference,
-            test: mon.test_window(),
-            engine: ExplainEngine::with_config(KsConfig::new(0.05).unwrap()),
-            arena: ExplanationArena::new(),
-            index,
-            sort_scratch: Vec::new(),
-            ref_scratch: Vec::new(),
-            test_scratch: Vec::new(),
-            pref: PreferenceList::identity(0),
-            sr: SpectralResidual::default(),
-        }
-    }
-
-    /// One full old-style alarm; returns the explanation size.
-    pub fn alarm_once(&mut self) -> usize {
-        self.ref_scratch.clear();
-        self.ref_scratch.extend_from_slice(black_box(&self.reference));
-        self.test_scratch.clear();
-        self.test_scratch.extend_from_slice(black_box(&self.test));
-        self.index.rebuild_from(&self.ref_scratch, &mut self.sort_scratch).unwrap();
-        self.pref.fill_from_scores_desc(&self.sr.scores(&self.test_scratch)).unwrap();
-        let e = self
-            .engine
-            .explain_with_index_in(&self.index, &self.test_scratch, &self.pref, &mut self.arena)
-            .unwrap();
-        let size = e.size();
-        self.arena.recycle(e);
-        size
-    }
-}
-
-/// The monitor's cost model, measured: the steady-state slide, the
-/// incremental alarm paths (explain and size-only — the "after" entries,
-/// 0 allocs once warm, each iteration sliding once so the index really
-/// re-materializes), and the [`RebuildAlarmReplay`] "before" entry.
+/// The monitor's cost model, measured: the steady-state slide and the
+/// alarm paths (explain and size-only, 0 allocs once warm, each iteration
+/// sliding once so every alarm sees new windows).
 fn monitor_suite(w: usize, alloc_counter: Option<&dyn Fn() -> u64>) -> Vec<BenchRecord> {
     let mut records = Vec::new();
 
@@ -572,15 +516,6 @@ fn monitor_suite(w: usize, alloc_counter: Option<&dyn Fn() -> u64>) -> Vec<Bench
         &format!("monitor/alarm_size_only/w={w}"),
         || {
             black_box(alarm_size_iteration(&mut sized, &mut at, w));
-        },
-        alloc_counter,
-    ));
-
-    let mut replay = RebuildAlarmReplay::new(&mon);
-    records.push(measure(
-        &format!("monitor/alarm_explain_rebuild/w={w}"),
-        || {
-            black_box(replay.alarm_once());
         },
         alloc_counter,
     ));

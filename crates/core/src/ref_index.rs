@@ -392,23 +392,24 @@ struct MultisetNode {
     right: Idx,
 }
 
-/// An incrementally-maintained [`RankSource`]: the reference side of a
-/// sliding-window monitor, updated in `O(log w)` per slide and
-/// materialized into a [`ReferenceIndex`] **without sorting** at alarm
-/// time.
+/// An incrementally-maintained [`RankSource`]: a sliding reference window
+/// updated in `O(log w)` per slide and materialized into a
+/// [`ReferenceIndex`] **without sorting**.
 ///
-/// [`ReferenceIndex::rebuild_from`] re-sorts the whole window on every
-/// alarm — `O(w log w)` even though consecutive alarms differ by a handful
-/// of slides. This structure keeps the order statistics live instead: a
-/// treap-backed multiset absorbs each slide as one [`remove`](Self::remove)
-/// plus one [`insert`](Self::insert) (`O(log w)` expected, allocation-free
-/// once warm thanks to a node free list), and
+/// A treap-backed multiset absorbs each slide as one
+/// [`remove`](Self::remove) plus one [`insert`](Self::insert) (`O(log w)`
+/// expected, allocation-free once warm thanks to a node free list), and
 /// [`materialize`](Self::materialize) walks it in order (`O(q_R)`, no
 /// comparison sort) to refill a cached [`ReferenceIndex`] the base-vector
 /// splice consumes unchanged. The materialized index is **byte-identical**
 /// to [`ReferenceIndex::new`] on the same multiset — including signed-zero
 /// representatives and duplicate collapsing — a property pinned by
 /// `tests/proptest_indexed.rs`.
+///
+/// The drift monitor does not use it: an alarm re-sorts its captured
+/// reference window with [`ReferenceIndex::rebuild_from`] (`O(w log w)`
+/// per alarm) instead of paying `O(log w)` on every push and a second
+/// per-series copy of the window.
 ///
 /// # Examples
 ///
@@ -440,29 +441,7 @@ pub struct IncrementalRefIndex {
     cache: ReferenceIndex,
     /// Whether `cache` reflects the current multiset.
     stale: bool,
-    /// Updates since the cache was last exact, chronological. A short gap
-    /// re-materializes by *patching* the cached arrays (`O(q)` memmoves,
-    /// cache-friendly) instead of re-walking the whole tree.
-    pending: Vec<PendingDelta>,
-    /// Whether `cache` + `pending` still reconstructs the multiset. False
-    /// until the first full walk, or after `pending` overflows.
-    cache_synced: bool,
 }
-
-/// One recorded multiset update awaiting application to the cached view.
-#[derive(Debug, Clone, Copy)]
-struct PendingDelta {
-    value: f64,
-    /// `true` for an insert, `false` for a remove.
-    added: bool,
-}
-
-/// How many pending updates [`IncrementalRefIndex::materialize`] will
-/// patch into the cached arrays before falling back to the full in-order
-/// walk. Each patch is an `O(q)` sequential pass (a few µs at `q = 10k`);
-/// the walk is an `O(q)` *pointer-chasing* pass (hundreds of µs at the
-/// same size), so the break-even sits far above typical alarm gaps.
-const PATCH_LIMIT: usize = 64;
 
 impl Default for IncrementalRefIndex {
     fn default() -> Self {
@@ -482,8 +461,6 @@ impl IncrementalRefIndex {
             traversal: Vec::new(),
             cache: ReferenceIndex { distinct: Vec::new(), cum_f64: Vec::new(), n: 0 },
             stale: true,
-            pending: Vec::new(),
-            cache_synced: false,
         }
     }
 
@@ -497,7 +474,6 @@ impl IncrementalRefIndex {
         index.traversal.reserve(capacity);
         index.cache.distinct.reserve(capacity + 1);
         index.cache.cum_f64.reserve(capacity + 2);
-        index.pending.reserve(PATCH_LIMIT);
         index
     }
 
@@ -520,23 +496,6 @@ impl IncrementalRefIndex {
         self.root = NIL;
         self.len = 0;
         self.stale = true;
-        self.pending.clear();
-        self.cache_synced = false;
-    }
-
-    /// Records one update for the patch-based re-materialization, spilling
-    /// to "full walk needed" when the gap since the last materialization
-    /// grows past [`PATCH_LIMIT`].
-    fn record(&mut self, value: f64, added: bool) {
-        self.stale = true;
-        if self.cache_synced {
-            if self.pending.len() < PATCH_LIMIT {
-                self.pending.push(PendingDelta { value, added });
-            } else {
-                self.pending.clear();
-                self.cache_synced = false;
-            }
-        }
     }
 
     fn next_priority(&mut self) -> u64 {
@@ -638,7 +597,7 @@ impl IncrementalRefIndex {
         let left = self.merge(a, b);
         self.root = self.merge(left, c);
         self.len += 1;
-        self.record(value, true);
+        self.stale = true;
     }
 
     /// Removes one occurrence of `value` (matched bit-exactly under
@@ -665,92 +624,16 @@ impl IncrementalRefIndex {
         self.root = self.merge(left, c);
         if found {
             self.len -= 1;
-            self.record(value, false);
+            self.stale = true;
         }
         found
     }
 
-    /// Live occurrences of the exact (`total_cmp`) key `value`: `O(log w)`.
-    fn count_of(&self, value: f64) -> u32 {
-        let mut cur = self.root;
-        while cur != NIL {
-            let node = &self.nodes[cur as usize];
-            match value.total_cmp(&node.value) {
-                std::cmp::Ordering::Less => cur = node.left,
-                std::cmp::Ordering::Greater => cur = node.right,
-                std::cmp::Ordering::Equal => return node.count,
-            }
-        }
-        0
-    }
-
-    /// Applies one recorded update to the cached arrays, preserving the
-    /// sorted-build semantics exactly: run counts via the cumulative plane,
-    /// and the duplicate-run *representative* (the first key in `total_cmp`
-    /// order — observable only for signed zeros) via an `O(log w)` treap
-    /// probe when a `-0.0` joins or leaves a zero run.
-    fn apply_delta(&mut self, delta: PendingDelta) {
-        let v = delta.value;
-        // Numeric comparison intentionally: ±0.0 share one run, and within
-        // the representative-ordered `distinct` array, numeric `<` finds
-        // the run for any probe bit pattern.
-        let pos = self.cache.distinct.partition_point(|&u| u < v);
-        if delta.added {
-            if pos < self.cache.distinct.len() && self.cache.distinct[pos] == v {
-                // Existing run: bump every later cumulative count...
-                for c in &mut self.cache.cum_f64[pos + 1..] {
-                    *c += 1.0;
-                }
-                // ...and adopt -0.0 as representative over 0.0.
-                if v.total_cmp(&self.cache.distinct[pos]).is_lt() {
-                    self.cache.distinct[pos] = v;
-                }
-            } else {
-                self.cache.distinct.insert(pos, v);
-                let below = self.cache.cum_f64[pos];
-                self.cache.cum_f64.insert(pos + 1, below + 1.0);
-                for c in &mut self.cache.cum_f64[pos + 2..] {
-                    *c += 1.0;
-                }
-            }
-        } else {
-            debug_assert!(
-                pos < self.cache.distinct.len() && self.cache.distinct[pos] == v,
-                "recorded removes name a live run"
-            );
-            let run = (self.cache.cum_f64[pos + 1] - self.cache.cum_f64[pos]) as u64;
-            if run <= 1 {
-                self.cache.distinct.remove(pos);
-                self.cache.cum_f64.remove(pos + 1);
-                for c in &mut self.cache.cum_f64[pos + 1..] {
-                    *c -= 1.0;
-                }
-            } else {
-                for c in &mut self.cache.cum_f64[pos + 1..] {
-                    *c -= 1.0;
-                }
-                // A -0.0 leaving a mixed zero run may hand the
-                // representative back to 0.0 (the treap — already fully
-                // updated — knows whether any -0.0 remains).
-                if v.to_bits() == (-0.0f64).to_bits()
-                    && self.cache.distinct[pos].to_bits() == (-0.0f64).to_bits()
-                    && self.count_of(-0.0) == 0
-                {
-                    self.cache.distinct[pos] = 0.0;
-                }
-            }
-        }
-    }
-
     /// The current multiset as a [`ReferenceIndex`], byte-identical to
     /// [`ReferenceIndex::new`] over the same values — with **no sort**
-    /// anywhere. Repeated calls between updates are `O(1)`; after a short
-    /// gap of `k` updates (up to the internal patch limit of 64) the
-    /// cached arrays are
-    /// *patched* in `O(k · q_R)` sequential passes (a handful of µs for a
-    /// one-slide alarm gap); a longer gap falls back to the `O(q_R)`
-    /// in-order tree walk. A warm structure materializes with zero heap
-    /// allocations either way.
+    /// anywhere. Repeated calls between updates are `O(1)`; after an update
+    /// the cached arrays are refilled by an `O(q_R)` in-order tree walk,
+    /// with zero heap allocations once warm.
     ///
     /// # Errors
     ///
@@ -761,27 +644,13 @@ impl IncrementalRefIndex {
             return Err(MocheError::EmptyReference);
         }
         if self.stale {
-            if self.cache_synced {
-                // Chronological replay keeps intermediate states exact
-                // (a run deleted by one delta may be re-created by the
-                // next), so the patched arrays equal a fresh walk.
-                for i in 0..self.pending.len() {
-                    let delta = self.pending[i];
-                    self.apply_delta(delta);
-                }
-                self.pending.clear();
-                self.cache.n = self.len;
-            } else {
-                self.walk_into_cache();
-                self.cache_synced = true;
-            }
+            self.walk_into_cache();
             self.stale = false;
         }
         Ok(&self.cache)
     }
 
-    /// Full re-materialization: the in-order treap walk, refilling the
-    /// cached arrays from scratch.
+    /// The in-order treap walk, refilling the cached arrays from scratch.
     fn walk_into_cache(&mut self) {
         let nodes = &self.nodes;
         let cache = &mut self.cache;
@@ -819,7 +688,6 @@ impl IncrementalRefIndex {
             cur = node.right;
         }
         cache.n = total as usize;
-        self.pending.clear();
     }
 }
 
@@ -1079,43 +947,13 @@ mod tests {
     }
 
     #[test]
-    fn incremental_patches_and_walks_agree_across_gap_sizes() {
-        // Materialization has two paths — delta patching for short update
-        // gaps, the full in-order walk past PATCH_LIMIT — and both must be
-        // byte-identical to a sorted build at any gap size straddling the
-        // threshold.
-        let series: Vec<f64> = (0..600).map(|i| ((i * 31) % 47) as f64 * 0.5).collect();
-        let w = 120;
-        for gap in [1usize, 2, 7, PATCH_LIMIT - 1, PATCH_LIMIT, PATCH_LIMIT + 1, 3 * PATCH_LIMIT] {
-            let mut live = IncrementalRefIndex::with_capacity(w);
-            for &v in &series[..w] {
-                live.insert(v);
-            }
-            live.materialize().unwrap();
-            let mut step = 0;
-            while step + gap <= series.len() - w {
-                for _ in 0..gap {
-                    assert!(live.remove(series[step]));
-                    live.insert(series[step + w]);
-                    step += 1;
-                }
-                assert_bits_eq(
-                    live.materialize().unwrap(),
-                    &ReferenceIndex::new(&series[step..step + w]).unwrap(),
-                    &format!("gap {gap}, step {step}"),
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn incremental_patching_handles_signed_zero_representatives() {
-        // The patch path's only observable subtlety: the ±0.0 run's
-        // representative must flip exactly like a fresh sorted build's.
+    fn incremental_updates_flip_signed_zero_representatives() {
+        // The ±0.0 run's representative must flip across updates exactly
+        // like a fresh sorted build's.
         let mut live = IncrementalRefIndex::new();
         live.insert(0.0);
         live.insert(1.0);
-        live.materialize().unwrap(); // sync the cache, then patch from here
+        live.materialize().unwrap();
         live.insert(-0.0); // -0.0 joins: representative flips to -0.0
         assert_bits_eq(
             live.materialize().unwrap(),
@@ -1138,14 +976,14 @@ mod tests {
             &ReferenceIndex::new(&[0.0, 1.0, -0.0]).unwrap(),
             "one -0.0 still present",
         );
-        // Remove-then-reinsert of a whole run inside one patch gap.
+        // Remove-then-reinsert of a whole run between materializations.
         assert!(live.remove(1.0));
         live.insert(1.0);
         live.insert(2.0);
         assert_bits_eq(
             live.materialize().unwrap(),
             &ReferenceIndex::new(&[0.0, 1.0, -0.0, 2.0]).unwrap(),
-            "run deleted and re-created in one gap",
+            "run deleted and re-created between materializations",
         );
     }
 

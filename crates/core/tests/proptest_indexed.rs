@@ -253,14 +253,12 @@ fn index_op() -> impl Strategy<Value = IndexOp> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
-    // The monitor-alarm invariant: after ANY sequence of inserts, removes
-    // and slides, the incrementally-maintained index materializes
-    // byte-identically to a from-scratch sorted `ReferenceIndex::new` over
-    // the same live multiset — signed-zero representatives included.
-    // `check_every` spaces the materializations out, so both re-sync paths
-    // are exercised: short gaps patch the cached arrays delta-by-delta,
-    // long gaps (a slide is two deltas, so ~40 unchecked ops overflow the
-    // patch limit) fall back to the full in-order walk.
+    // After ANY sequence of inserts, removes and slides, the
+    // incrementally-maintained index materializes byte-identically to a
+    // from-scratch sorted `ReferenceIndex::new` over the same live multiset
+    // — signed-zero representatives included. `check_every` spaces the
+    // materializations out, so the cached view is re-synced after gaps of
+    // every length.
     #[test]
     fn incremental_index_is_byte_identical_to_sorted_builds(
         seed in proptest::collection::vec(index_value(), 1..12),

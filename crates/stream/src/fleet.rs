@@ -6,7 +6,7 @@
 //! fleet scale that second half is the expensive one, and it is idle
 //! except while answering an alarm — so the fleet keeps exactly one
 //! [`MonitorScratch`] per shard and slab-stores only the lean per-series
-//! [`MonitorState`]s (`O(w)` each: windows + treaps + counters).
+//! [`MonitorState`]s (`O(w)` each: windows + one KS treap + counters).
 //!
 //! ## Sharding
 //!
@@ -43,7 +43,7 @@
 use crate::monitor::{MonitorConfig, MonitorEvent, MonitorScratch, MonitorState, WindowCapture};
 use crate::snapshot::{crc32, write_bytes_atomic, MonitorSnapshot, SnapshotError};
 use moche_core::fault::{self, Fault};
-use moche_core::{Explanation, KsConfig, KsOutcome, MocheError, ReferenceIndex, SizeSearch};
+use moche_core::{Explanation, KsConfig, KsOutcome, MocheError, SizeSearch};
 use std::collections::{HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
@@ -328,9 +328,6 @@ pub struct FleetShard {
     pending: VecDeque<PendingExplain>,
     /// Recycled capture buffers (bounded by the queue depth + 1).
     capture_pool: Vec<WindowCapture>,
-    /// Rebuildable reference index + sort scratch for deferred explains.
-    ref_index: Option<ReferenceIndex>,
-    sort_scratch: Vec<f64>,
     stats: Arc<FleetStats>,
     /// Observations accepted by this shard (drives the checkpoint cadence
     /// without touching the shared atomics).
@@ -348,8 +345,6 @@ impl FleetShard {
             scratch: MonitorScratch::with_config(ks_cfg),
             pending: VecDeque::new(),
             capture_pool: Vec::new(),
-            ref_index: None,
-            sort_scratch: Vec::new(),
             stats,
             accepted: 0,
         }
@@ -470,7 +465,7 @@ impl FleetShard {
                 // lint:allow(relaxed): monotonic stats counter; no cross-thread handoff rides on it
                 self.stats.alarms.fetch_add(1, Ordering::Relaxed);
                 let at_push = self.slab[slot].pushes();
-                let wants_explain = self.cfg.monitor.explain_on_drift || self.cfg.monitor.size_only;
+                let wants_explain = self.cfg.monitor.answers_alarms();
                 let explain_queued = if wants_explain && self.pending.len() < self.cfg.explain_queue
                 {
                     self.pending.push_back(PendingExplain { series, at_push, outcome, capture });
@@ -503,35 +498,8 @@ impl FleetShard {
         while answered < budget {
             let Some(ticket) = self.pending.pop_front() else { break };
             let PendingExplain { series, at_push, outcome, capture } = ticket;
-            let index_ok = match self.ref_index.as_mut() {
-                Some(index) => {
-                    index.rebuild_from(&capture.reference, &mut self.sort_scratch).is_ok()
-                }
-                None => match ReferenceIndex::new(&capture.reference) {
-                    Ok(index) => {
-                        self.ref_index = Some(index);
-                        true
-                    }
-                    Err(_) => false,
-                },
-            };
-            let (explanation, size, degraded) = if !index_ok {
-                (None, None, false)
-            } else {
-                // lint:allow(panic): `index_ok` is only true after the branch
-                // above stored `Some(index)`
-                let index = self.ref_index.as_ref().expect("just built");
-                if self.cfg.monitor.size_only {
-                    (None, self.scratch.size_deferred(index, &capture.test), false)
-                } else if self.cfg.monitor.explain_on_drift {
-                    let sr = self.cfg.monitor.spectral_residual();
-                    let (explanation, degraded) =
-                        self.scratch.explain_deferred(&sr, index, &capture.test);
-                    (explanation, None, degraded)
-                } else {
-                    (None, None, false)
-                }
-            };
+            let (explanation, size, degraded) =
+                self.scratch.answer_capture(&self.cfg.monitor, &capture);
             if degraded {
                 // lint:allow(relaxed): monotonic stats counter; no cross-thread handoff rides on it
                 self.stats.degraded_preferences.fetch_add(1, Ordering::Relaxed);

@@ -2,9 +2,10 @@
 //!
 //! Maintains the KS statistic between a reference multiset `R` and a test
 //! multiset `T` under point insertions and removals on *both* sides, in
-//! `O(log N)` expected time per update — the primitive a deployed drift
-//! monitor needs (each window slide is a handful of updates instead of a
-//! full `O(N log N)` recomputation).
+//! `O(log N)` expected time per update (each window slide is a handful of
+//! updates instead of a full `O(N log N)` recomputation). The drift
+//! monitor, whose windows always have equal size, keeps the same treap
+//! directly with fixed `±1` weights (see [`crate::monitor`]).
 //!
 //! ### How
 //!

@@ -11,9 +11,10 @@
 //! * [`treap`] — an order-augmented treap whose root exposes the maximum
 //!   absolute prefix sum of weighted elements;
 //! * [`incremental`] — weights `+m` / `-n` turn that prefix sum into
-//!   `n·m·D(R, T)`, giving `O(log N)` KS updates;
-//! * [`monitor`] — paired sliding windows, `O(log w)` per observation,
-//!   MOCHE explanations on every drift alarm.
+//!   `n·m·D(R, T)`, giving `O(log N)` KS updates for samples of any sizes;
+//! * [`monitor`] — paired sliding windows of equal size `w` over one treap
+//!   (weights `±1`), `O(log w)` per observation, MOCHE explanations on
+//!   every drift alarm.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -8,13 +8,15 @@
 //! alarm, and the monitor answers *which points caused it* with the most
 //! comprehensible counterfactual explanation.
 //!
-//! Steady-state cost per observation is `O(log w)` (two treap slides for
-//! the KS statistic plus one order-statistic slide for the reference
-//! index) and `O(1)` for the decision; alarms are answered from
-//! incrementally-maintained state — `O(m log w)` plus the explanation
-//! construction itself, with **zero** heap allocations once warm (gated by
-//! `tests/alloc_count.rs`). Bad input never panics the monitor: route
-//! untrusted streams through [`DriftMonitor::try_push`].
+//! Each series keeps one KS treap over both windows: a slide is three
+//! `O(log w)` treap updates and the decision is `O(1)`; warm-up only
+//! appends to the windows, and the treap is loaded once they are full. An
+//! alarm copies the window pair, sorts the reference into a
+//! [`ReferenceIndex`] and explains against it — `O(w log w)` plus the
+//! explanation construction itself, with **zero** heap allocations once
+//! warm (gated by `tests/alloc_count.rs`).
+//! Bad input never panics the monitor: route untrusted streams through
+//! [`DriftMonitor::try_push`].
 //!
 //! ## One series vs. a fleet
 //!
@@ -23,18 +25,25 @@
 //! multi-series deployment ([`crate::MonitorFleet`]) can pool the
 //! expensive one:
 //!
-//! * [`MonitorState`] — the per-series sliding windows, incremental KS
-//!   treaps, and counters. This is the part that *must* exist once per
-//!   series (`O(w)` memory each).
-//! * [`MonitorScratch`] — the explain engine, arena, Spectral-Residual
-//!   FFT planes, and preference buffers. This part is only touched while
-//!   answering an alarm, so one scratch can serve thousands of series on
-//!   a worker (`O(w)` memory once per worker, not per series).
+//! * [`MonitorState`] — the per-series sliding windows, the KS treap, and
+//!   counters. This is the part that *must* exist once per series (`O(w)`
+//!   memory each).
+//! * [`MonitorScratch`] — the explain engine, arena, reference index,
+//!   Spectral-Residual FFT planes, and preference buffers. This part is
+//!   only touched while answering an alarm, so one scratch can serve
+//!   thousands of series on a worker (`O(w)` memory once per worker, not
+//!   per series).
+//!
+//! Every alarm is answered the same way, whether inline
+//! ([`DriftMonitor`]), deferred ([`crate::MonitorFleet`]'s explain queue)
+//! or on demand ([`DriftMonitor::explain_current`]): from a
+//! [`WindowCapture`] of the window pair, through
+//! `MonitorScratch::answer_capture`.
 
-use crate::incremental::{IncrementalKs, ObsId};
+use crate::treap::WeightedTreap;
 use moche_core::{
-    ExplainEngine, Explanation, ExplanationArena, IncrementalRefIndex, KsConfig, KsOutcome,
-    MocheError, PreferenceList, SizeSearch,
+    ExplainEngine, Explanation, ExplanationArena, KsConfig, KsOutcome, MocheError, PreferenceList,
+    ReferenceIndex, SizeSearch,
 };
 use moche_sigproc::{SaliencyScratch, SpectralResidual};
 use std::collections::VecDeque;
@@ -90,6 +99,11 @@ impl MonitorConfig {
             ..SpectralResidual::default()
         }
     }
+
+    /// Whether alarms carry any work (an explanation or a size).
+    pub(crate) fn answers_alarms(&self) -> bool {
+        self.explain_on_drift || self.size_only
+    }
 }
 
 /// What a [`DriftMonitor::push`] call observed.
@@ -124,9 +138,10 @@ pub enum MonitorEvent {
 /// The alarm-answering working set, separate from per-series state so a
 /// fleet worker can share one across all the series it owns: the explain
 /// engine (bounds workspace, base-vector splice buffers), the recycled
-/// explanation arena, the Spectral-Residual FFT planes, and the
-/// score/preference buffers. Only touched while explaining, never while
-/// pushing, so sharing it costs nothing on the fast path.
+/// explanation arena, the reference index, the Spectral-Residual FFT
+/// planes, and the score/preference buffers. Only touched while
+/// explaining, never while pushing, so sharing it costs nothing on the
+/// fast path.
 #[derive(Debug, Clone)]
 pub struct MonitorScratch {
     /// Scratch-reusing explainer: alarm N reuses the buffers of alarm N-1.
@@ -135,8 +150,14 @@ pub struct MonitorScratch {
     /// back via [`recycle`](Self::recycle) make alarms allocation-free on
     /// the output side too.
     arena: ExplanationArena,
-    /// Recycled per-alarm scratch: the flattened test window...
-    test_scratch: Vec<f64>,
+    /// Recycled per-alarm scratch: the window pair of an inline or
+    /// on-demand alarm (deferred alarms bring their own capture)...
+    capture: WindowCapture,
+    /// ...the alarm's reference index, re-sorted in place from the
+    /// captured reference window (`None` until the first alarm)...
+    index: Option<ReferenceIndex>,
+    /// ...the buffer that sort runs in...
+    sort_scratch: Vec<f64>,
     /// ...the Spectral Residual working set (FFT spectrum, saliency
     /// planes)...
     sr_scratch: SaliencyScratch,
@@ -153,7 +174,9 @@ impl MonitorScratch {
         Self {
             engine: ExplainEngine::with_config(ks_cfg),
             arena: ExplanationArena::new(),
-            test_scratch: Vec::new(),
+            capture: WindowCapture::new(),
+            index: None,
+            sort_scratch: Vec::new(),
             sr_scratch: SaliencyScratch::new(),
             score_scratch: Vec::new(),
             pref_scratch: PreferenceList::identity(0),
@@ -175,42 +198,78 @@ impl MonitorScratch {
         self.arena.recycle(explanation);
     }
 
-    /// Explains a captured alarm window pair through this scratch: ranks
-    /// `test` with `sr` (identity fallback on breakdown), splices against
-    /// `index`, and constructs the explanation into the arena. Returns the
-    /// explanation and whether the preference degraded — the fleet's
-    /// deferred-queue twin of [`MonitorState::explain_in`], producing
-    /// identical explanations for identical windows.
-    pub(crate) fn explain_deferred(
+    /// Answers an alarm on a captured window pair the way `cfg` asks: the
+    /// Phase-1 size only ([`MonitorConfig::size_only`]), a full explanation
+    /// ([`MonitorConfig::explain_on_drift`]), or nothing. Returns the
+    /// explanation, the size, and whether the explanation was ranked with
+    /// the identity fallback. The one alarm path of the inline monitor and
+    /// the fleet's deferred queue.
+    pub(crate) fn answer_capture(
+        &mut self,
+        cfg: &MonitorConfig,
+        capture: &WindowCapture,
+    ) -> (Option<Explanation>, Option<SizeSearch>, bool) {
+        if cfg.size_only {
+            (None, self.size_capture(capture), false)
+        } else if cfg.explain_on_drift {
+            let (explanation, degraded) = self.explain_capture(&cfg.spectral_residual(), capture);
+            (explanation, None, degraded)
+        } else {
+            (None, None, false)
+        }
+    }
+
+    /// Explains a captured window pair: sorts the reference into the
+    /// recycled index, ranks the test window with `sr` (identity fallback
+    /// on breakdown), and constructs the explanation into the arena.
+    /// Returns the explanation and whether it was produced with the
+    /// degraded (identity) preference.
+    fn explain_capture(
         &mut self,
         sr: &SpectralResidual,
-        index: &moche_core::ReferenceIndex,
-        test: &[f64],
+        capture: &WindowCapture,
     ) -> (Option<Explanation>, bool) {
-        let degraded = self.fill_preference(sr, test);
-        let explanation = self
-            .engine
-            .explain_with_index_in(index, test, &self.pref_scratch, &mut self.arena)
-            .ok();
+        if !self.rebuild_index(&capture.reference) {
+            return (None, false);
+        }
+        let degraded = self.fill_preference(sr, &capture.test);
+        let explanation = self.index.as_ref().and_then(|index| {
+            self.engine
+                .explain_with_index_in(index, &capture.test, &self.pref_scratch, &mut self.arena)
+                .ok()
+        });
+        // Count the degradation only when an explanation was actually
+        // produced with the fallback ranking.
         let counted = degraded && explanation.is_some();
         (explanation, counted)
     }
 
-    /// Phase 1 only over a captured window pair — the deferred twin of
-    /// [`MonitorState::size_in`].
-    pub(crate) fn size_deferred(
-        &mut self,
-        index: &moche_core::ReferenceIndex,
-        test: &[f64],
-    ) -> Option<SizeSearch> {
-        self.engine.size_with_index(index, test).ok()
+    /// Phase 1 only over a captured window pair.
+    fn size_capture(&mut self, capture: &WindowCapture) -> Option<SizeSearch> {
+        if !self.rebuild_index(&capture.reference) {
+            return None;
+        }
+        let index = self.index.as_ref()?;
+        self.engine.size_with_index(index, &capture.test).ok()
+    }
+
+    /// Sorts `reference` into the recycled index. `false` when the
+    /// reference is rejected (empty or non-finite); the index must then not
+    /// be used, since it still describes an earlier alarm.
+    fn rebuild_index(&mut self, reference: &[f64]) -> bool {
+        match &mut self.index {
+            Some(index) => index.rebuild_from(reference, &mut self.sort_scratch).is_ok(),
+            None => {
+                self.index = ReferenceIndex::new(reference).ok();
+                self.index.is_some()
+            }
+        }
     }
 
     /// Fills the preference scratch for `test` by Spectral-Residual score
     /// (falling back to the identity order on numerical breakdown or short
-    /// windows) and reports whether it degraded. Shared by the inline and
-    /// deferred alarm paths so both rank points identically.
-    pub(crate) fn fill_preference(&mut self, sr: &SpectralResidual, test: &[f64]) -> bool {
+    /// windows) and reports whether it degraded.
+    fn fill_preference(&mut self, sr: &SpectralResidual, test: &[f64]) -> bool {
         let m = test.len();
         if m >= 4 {
             let scored =
@@ -230,11 +289,12 @@ impl MonitorScratch {
     }
 }
 
-/// Recycled buffers holding a point-in-time copy of both windows, taken at
-/// alarm time by [`MonitorState::try_push_deferred`] so the explanation
-/// can be computed later (possibly after the windows have slid on or been
-/// reset) without blocking the push path. A warm capture of the same
-/// window size refills without allocating.
+/// Recycled buffers holding a point-in-time copy of both windows: what
+/// every alarm is explained from. [`MonitorState::try_push_deferred`]
+/// hands one to its caller, so the explanation can be computed later
+/// (possibly after the windows have slid on or been reset) without
+/// blocking the push path. A warm capture of the same window size refills
+/// without allocating.
 #[derive(Debug, Clone, Default)]
 pub struct WindowCapture {
     /// Reference window contents at alarm time, oldest first.
@@ -261,24 +321,26 @@ enum AlarmWork<'a> {
     Defer(&'a mut WindowCapture),
 }
 
-/// The per-series half of a drift monitor: sliding windows, incremental KS
-/// treaps, the reference order-statistics index, and counters — everything
-/// that must exist once per monitored series. All alarm-answering buffers
-/// live in a separate [`MonitorScratch`] passed into the methods, so a
-/// fleet worker can own one scratch and thousands of states.
+/// Seed of the KS treap's node priorities (the treap's shape never affects
+/// a result).
+const TREAP_SEED: u64 = 0x1C5B;
+
+/// The per-series half of a drift monitor: sliding windows, the KS treap,
+/// and counters — everything that must exist once per monitored series.
+/// All alarm-answering buffers live in a separate [`MonitorScratch`]
+/// passed into the methods, so a fleet worker can own one scratch and
+/// thousands of states.
 #[derive(Debug, Clone)]
 pub struct MonitorState {
     cfg: MonitorConfig,
     ks_cfg: KsConfig,
-    iks: IncrementalKs,
-    ref_window: VecDeque<(f64, ObsId)>,
-    test_window: VecDeque<(f64, ObsId)>,
-    /// The reference order statistics, maintained **incrementally** across
-    /// window slides (`O(log w)` each) and materialized without sorting at
-    /// alarm time — the index the alarm splice consumes. Always in sync
-    /// with `ref_window`, so no alarm can ever pair a stale index with
-    /// fresh windows (the hazard the old per-alarm rebuild had).
-    ref_index: IncrementalRefIndex,
+    /// One treap over both windows: each reference observation weighs `+1`
+    /// and each test observation `-1`, so the largest absolute prefix sum
+    /// at the root is `w·D` (see [`outcome`](Self::outcome)). Empty until
+    /// both windows are full (see [`load_treap`](Self::load_treap)).
+    ks: WeightedTreap,
+    ref_window: VecDeque<f64>,
+    test_window: VecDeque<f64>,
     pushes: u64,
     alarms: u64,
     degraded_preferences: u64,
@@ -307,10 +369,9 @@ impl MonitorState {
         Ok(Self {
             cfg,
             ks_cfg,
-            iks: IncrementalKs::new(),
+            ks: WeightedTreap::new(TREAP_SEED),
             ref_window: VecDeque::with_capacity(cfg.window),
             test_window: VecDeque::with_capacity(cfg.window),
-            ref_index: IncrementalRefIndex::with_capacity(cfg.window),
             pushes: 0,
             alarms: 0,
             degraded_preferences: 0,
@@ -346,12 +407,12 @@ impl MonitorState {
 
     /// The current reference window contents, oldest first.
     pub fn reference_window(&self) -> Vec<f64> {
-        self.ref_window.iter().map(|&(v, _)| v).collect()
+        self.ref_window.iter().copied().collect()
     }
 
     /// The current test window contents, oldest first.
     pub fn test_window(&self) -> Vec<f64> {
-        self.test_window.iter().map(|&(v, _)| v).collect()
+        self.test_window.iter().copied().collect()
     }
 
     /// Feeds one observation, answering alarms inline through `scratch` —
@@ -399,133 +460,152 @@ impl MonitorState {
         self.pushes += 1;
 
         if self.ref_window.len() < w {
-            let id = self.iks.insert_reference(value);
-            self.ref_window.push_back((value, id));
-            self.ref_index.insert(value);
+            self.ref_window.push_back(value);
             return Ok(MonitorEvent::Warming {
                 seen: self.ref_window.len() + self.test_window.len(),
                 needed: 2 * w,
             });
         }
         if self.test_window.len() < w {
-            let id = self.iks.insert_test(value);
-            self.test_window.push_back((value, id));
+            self.test_window.push_back(value);
             if self.test_window.len() < w {
                 return Ok(MonitorEvent::Warming {
                     seen: self.ref_window.len() + self.test_window.len(),
                     needed: 2 * w,
                 });
             }
-            // Windows just became full: fall through to the decision.
+            // Windows just became full: load the treap, then fall through
+            // to the decision.
+            self.load_treap();
         } else {
-            // Steady state: the oldest test point is promoted to the
-            // reference window (replacing its oldest point), and the new
-            // observation enters the test window. Three O(log w) slides:
-            // two in the KS structure, one in the reference order
-            // statistics.
-            let (promoted_value, promoted_id) =
+            // Steady state: the oldest reference point leaves, the oldest
+            // test point is promoted to the reference window (its weight
+            // flips from -1 to +1), and the new observation enters the
+            // test window — three O(log w) treap updates.
+            let promoted =
                 // lint:allow(panic): steady state means both windows are at
                 // capacity w >= 1 — an empty pop is a state-machine bug
                 self.test_window.pop_front().expect("test window full");
-            let (oldest_ref_value, oldest_ref_id) =
-                // lint:allow(panic): same steady-state invariant
-                self.ref_window.pop_front().expect("ref window full");
-            let new_ref_id = self
-                .iks
-                .slide_reference(oldest_ref_id, promoted_value)
-                // lint:allow(panic): the id was just popped from the window
-                // that owns it, so the KS structure still tracks it
-                .expect("ref handle is live");
-            self.ref_window.push_back((promoted_value, new_ref_id));
-            let removed = self.ref_index.remove(oldest_ref_value);
-            debug_assert!(removed, "reference index tracks the reference window");
-            self.ref_index.insert(promoted_value);
-            // lint:allow(panic): the id was just popped from the test window
-            let new_test_id = self.iks.slide_test(promoted_id, value).expect("test handle is live");
-            self.test_window.push_back((value, new_test_id));
+            // lint:allow(panic): same steady-state invariant
+            let oldest = self.ref_window.pop_front().expect("ref window full");
+            self.ks.update(oldest, -1, -1);
+            self.ks.update(promoted, 2, 0);
+            self.ks.update(value, -1, 1);
+            self.ref_window.push_back(promoted);
+            self.test_window.push_back(value);
         }
 
-        // lint:allow(panic): reached only in steady state, where both
-        // windows hold exactly w observations
-        let outcome = self.iks.outcome(&self.ks_cfg).expect("both windows non-empty");
+        let outcome = self.outcome();
         if !outcome.rejected {
             return Ok(MonitorEvent::Stable { outcome });
         }
 
         self.alarms += 1;
         let (explanation, size) = match work {
-            AlarmWork::Inline(scratch) => {
-                if self.cfg.size_only {
-                    (None, self.size_in(scratch))
-                } else if self.cfg.explain_on_drift {
-                    (self.explain_in(scratch), None)
-                } else {
-                    (None, None)
-                }
+            AlarmWork::Inline(scratch) if self.cfg.answers_alarms() => {
+                let cfg = self.cfg;
+                let (explanation, size, degraded) = self
+                    .with_capture(scratch, |scratch, capture| {
+                        scratch.answer_capture(&cfg, capture)
+                    });
+                self.degraded_preferences += u64::from(degraded);
+                (explanation, size)
             }
+            AlarmWork::Inline(_) => (None, None),
             AlarmWork::Defer(capture) => {
-                capture.reference.clear();
-                capture.reference.extend(self.ref_window.iter().map(|&(v, _)| v));
-                capture.test.clear();
-                capture.test.extend(self.test_window.iter().map(|&(v, _)| v));
+                self.capture_windows(capture);
                 (None, None)
             }
         };
         if self.cfg.reset_on_drift {
             self.ref_window.clear();
             self.test_window.clear();
-            self.ref_index.clear();
-            self.iks = IncrementalKs::new();
+            self.ks.clear();
         }
         Ok(MonitorEvent::Drift { outcome, explanation, size })
+    }
+
+    /// Loads both full windows into the empty treap. The treap stays empty
+    /// while the windows warm up and is filled here in one pass, while the
+    /// series' windows are hot in cache: a fleet warms its series
+    /// round-robin, and updating thousands of cold treaps one push at a
+    /// time made a fleet's warm-up about 1.6× slower.
+    fn load_treap(&mut self) {
+        for &value in &self.ref_window {
+            self.ks.update(value, 1, 1);
+        }
+        for &value in &self.test_window {
+            self.ks.update(value, -1, 1);
+        }
+    }
+
+    /// The KS decision over the full window pair. With `n = m = w` the
+    /// statistic is `max |#{r <= x} - #{t <= x}| / w`, and the treap's
+    /// `±1` weights make that numerator its largest absolute prefix sum.
+    /// Exact integer arithmetic up to the one division, so the decision
+    /// depends only on the window multisets.
+    fn outcome(&self) -> KsOutcome {
+        let w = self.cfg.window;
+        let statistic = self.ks.max_abs_prefix() as f64 / w as f64;
+        KsOutcome {
+            statistic,
+            threshold: self.ks_cfg.threshold(w, w),
+            rejected: self.ks_cfg.rejects(statistic, w, w),
+            n: w,
+            m: w,
+        }
     }
 
     /// Explains the current window pair through `scratch` — see
     /// [`DriftMonitor::explain_current`] for the full contract.
     pub fn explain_in(&mut self, scratch: &mut MonitorScratch) -> Option<Explanation> {
-        self.refresh_alarm_scratch(scratch)?;
         if !self.currently_rejected() {
-            // Passing windows have nothing to explain; deciding that here
-            // costs O(1) (the incremental statistic is sitting at the
-            // treap root) instead of paying the SR transform and the
-            // base-vector build just to learn the same from the engine.
+            // Warming or passing windows have nothing to explain; the
+            // decision is O(1) at the treap root, so an on-demand poll
+            // never pays for SR scoring or the index sort to learn that.
             return None;
         }
         let sr = self.cfg.spectral_residual();
-        let test = std::mem::take(&mut scratch.test_scratch);
-        let degraded = scratch.fill_preference(&sr, &test);
-        let index = self.ref_index.materialize().ok();
-        let explanation = index.and_then(|index| {
-            scratch
-                .engine
-                .explain_with_index_in(index, &test, &scratch.pref_scratch, &mut scratch.arena)
-                .ok()
-        });
-        scratch.test_scratch = test;
-        // Count the degradation only when an explanation was actually
-        // produced with the fallback ranking — an on-demand poll of a
-        // currently-passing window pair must not register phantom
-        // degraded alarms.
-        if degraded && explanation.is_some() {
-            self.degraded_preferences += 1;
-        }
+        let (explanation, degraded) =
+            self.with_capture(scratch, |scratch, capture| scratch.explain_capture(&sr, capture));
+        self.degraded_preferences += u64::from(degraded);
         explanation
     }
 
     /// Phase 1 only through `scratch` — see [`DriftMonitor::size_current`].
     pub fn size_in(&mut self, scratch: &mut MonitorScratch) -> Option<SizeSearch> {
-        self.refresh_alarm_scratch(scratch)?;
         if !self.currently_rejected() {
             return None; // see explain_in
         }
-        let index = self.ref_index.materialize().ok()?;
-        scratch.engine.size_with_index(index, &scratch.test_scratch).ok()
+        self.with_capture(scratch, MonitorScratch::size_capture)
     }
 
-    /// Whether the monitor's KS decision — the same one that raises
-    /// alarms — currently rejects the window pair. `O(1)` in steady state.
-    fn currently_rejected(&mut self) -> bool {
-        matches!(self.iks.outcome(&self.ks_cfg), Ok(outcome) if outcome.rejected)
+    /// Whether the windows are full and the monitor's KS decision — the
+    /// same one that raises alarms — rejects them. `O(1)`.
+    fn currently_rejected(&self) -> bool {
+        self.test_window.len() == self.cfg.window && self.outcome().rejected
+    }
+
+    /// Copies both windows into `capture`, oldest first.
+    fn capture_windows(&self, capture: &mut WindowCapture) {
+        capture.reference.clear();
+        capture.reference.extend(&self.ref_window);
+        capture.test.clear();
+        capture.test.extend(&self.test_window);
+    }
+
+    /// Runs `answer` on a capture of the current windows, taken into the
+    /// scratch's own recycled capture buffers.
+    fn with_capture<R>(
+        &self,
+        scratch: &mut MonitorScratch,
+        answer: impl FnOnce(&mut MonitorScratch, &WindowCapture) -> R,
+    ) -> R {
+        let mut capture = std::mem::take(&mut scratch.capture);
+        self.capture_windows(&mut capture);
+        let out = answer(scratch, &capture);
+        scratch.capture = capture;
+        out
     }
 
     /// Captures the restorable state — see [`DriftMonitor::snapshot`].
@@ -566,33 +646,15 @@ impl MonitorState {
             sr_score_window: snapshot.sr_score_window,
         };
         let mut state = Self::new(cfg)?;
-        for &value in &snapshot.reference {
-            let id = state.iks.insert_reference(value);
-            state.ref_window.push_back((value, id));
-            state.ref_index.insert(value);
-        }
-        for &value in &snapshot.test {
-            let id = state.iks.insert_test(value);
-            state.test_window.push_back((value, id));
+        state.ref_window.extend(&snapshot.reference);
+        state.test_window.extend(&snapshot.test);
+        if state.test_window.len() == state.cfg.window {
+            state.load_treap();
         }
         state.pushes = snapshot.pushes;
         state.alarms = snapshot.alarms;
         state.degraded_preferences = snapshot.degraded_preferences;
         Ok(state)
-    }
-
-    /// Refills the recycled test-window scratch. The reference side needs
-    /// no refresh: its order statistics are maintained incrementally with
-    /// every slide, so the alarm path can never pair a stale reference
-    /// index with fresh windows — any failure below leaves the scratch
-    /// empty (unambiguously invalid), never half-updated.
-    fn refresh_alarm_scratch(&mut self, scratch: &mut MonitorScratch) -> Option<()> {
-        scratch.test_scratch.clear();
-        if self.test_window.len() < self.cfg.window || self.ref_index.is_empty() {
-            return None; // still warming (or just reset): nothing to explain
-        }
-        scratch.test_scratch.extend(self.test_window.iter().map(|&(v, _)| v));
-        Some(())
     }
 }
 
@@ -707,11 +769,10 @@ impl DriftMonitor {
     /// for a dashboard). Returns `None` while the windows are still
     /// warming, or when the KS test currently passes (nothing to explain).
     ///
-    /// The reference order statistics are maintained incrementally across
-    /// slides, so no per-alarm sort happens here: materializing the index
-    /// is an `O(q_R)` in-order walk, the base-vector splice is
-    /// `O(m log w)` plus chunk copies, and every buffer — windows, index,
-    /// FFT planes, preference, bounds workspace, and (after
+    /// The windows are copied and the reference sorted into a
+    /// [`ReferenceIndex`] (`O(w log w)`), the base-vector splice is
+    /// `O(m log w)` plus chunk copies, and every buffer — window copies,
+    /// index, FFT planes, preference, bounds workspace, and (after
     /// [`recycle`](Self::recycle)) the output itself — is recycled scratch
     /// refilled in place: a warm alarm performs **zero** heap allocations.
     ///
@@ -746,8 +807,8 @@ impl DriftMonitor {
 
     /// Captures the monitor's restorable state: configuration, both
     /// window contents, and the alarm/degradation counters. Derived
-    /// structures (the KS treap, the reference order-statistics index,
-    /// engine scratch) are rebuilt on [`restore`](Self::restore), so the
+    /// structures (the KS treap, engine scratch) are rebuilt on
+    /// [`restore`](Self::restore), so the
     /// snapshot stays small and format-stable. See
     /// [`crate::snapshot::MonitorSnapshot`] for the serialized form and
     /// the byte-identity guarantee.
@@ -756,8 +817,8 @@ impl DriftMonitor {
     }
 
     /// Rebuilds a monitor from a snapshot. The window values are
-    /// re-inserted through the same incremental structures `try_push`
-    /// maintains, so the restored monitor's future behaviour is
+    /// re-inserted into the same KS treap `try_push` maintains, so the
+    /// restored monitor's future behaviour is
     /// observably identical to the captured one's — including
     /// byte-identical alarm explanations (the KS decision is exact
     /// integer arithmetic over the window multisets, independent of
@@ -1155,13 +1216,13 @@ mod tests {
     }
 
     #[test]
-    fn incremental_index_stays_in_sync_with_the_reference_window() {
+    fn ks_treap_stays_in_sync_with_the_windows() {
         // Slides, alarms, rejected pushes and resets: after every accepted
-        // observation the incrementally-maintained index must equal a
-        // from-scratch sorted build of the reference window — the
-        // structural guarantee that replaced the stale-scratch hazard of
-        // the per-alarm rebuild.
-        use moche_core::ReferenceIndex;
+        // observation the treap must hold exactly the windows' multisets
+        // (+1 per reference value, -1 per test value) once both are full,
+        // nothing while they warm up, and a full pair's statistic must
+        // equal the batch statistic. Signed zeros tie with each other, as
+        // they do in the batch ECDFs.
         for reset in [true, false] {
             let mut cfg = MonitorConfig::new(15, 0.05);
             cfg.reset_on_drift = reset;
@@ -1170,19 +1231,43 @@ mod tests {
                 if i % 7 == 0 {
                     assert!(mon.try_push(f64::NAN).is_err());
                 }
-                let x = f64::from(i % 11) + if (i / 60) % 2 == 0 { 0.0 } else { 25.0 };
-                if let MonitorEvent::Drift { explanation: Some(e), .. } = mon.push(x) {
-                    mon.recycle(e);
+                let x = match i % 13 {
+                    0 => -0.0,
+                    1 => 0.0,
+                    r => f64::from(r % 11) + if (i / 60) % 2 == 0 { 0.0 } else { 25.0 },
+                };
+                let outcome = match mon.push(x) {
+                    MonitorEvent::Drift { outcome, explanation, .. } => {
+                        if let Some(e) = explanation {
+                            mon.recycle(e);
+                        }
+                        Some(outcome)
+                    }
+                    MonitorEvent::Stable { outcome } => Some(outcome),
+                    MonitorEvent::Warming { .. } => None,
+                };
+                let mut expected: Vec<(f64, i64, u32)> = Vec::new();
+                let (r, t) = (mon.reference_window(), mon.test_window());
+                let mut all: Vec<(f64, i64)> = Vec::new();
+                if t.len() == 15 {
+                    all.extend(r.iter().map(|&v| (v, 1)));
+                    all.extend(t.iter().map(|&v| (v, -1)));
                 }
-                let window = mon.reference_window();
-                if window.is_empty() {
-                    assert!(mon.state.ref_index.is_empty(), "reset must clear the index (i = {i})");
-                } else {
-                    assert_eq!(
-                        mon.state.ref_index.materialize().unwrap(),
-                        &ReferenceIndex::new(&window).unwrap(),
-                        "i = {i}, reset = {reset}"
-                    );
+                all.sort_by(|a, b| a.0.total_cmp(&b.0));
+                for (v, weight) in all {
+                    match expected.last_mut() {
+                        Some(last) if last.0 == v => {
+                            last.1 += weight;
+                            last.2 += 1;
+                        }
+                        _ => expected.push((v + 0.0, weight, 1)),
+                    }
+                }
+                assert_eq!(mon.state.ks.to_sorted_vec(), expected, "i = {i}, reset = {reset}");
+                // A reset right after an alarm leaves nothing to compare.
+                if let (Some(outcome), false) = (outcome, r.is_empty()) {
+                    let batch = moche_core::ks_statistic(&r, &t).unwrap();
+                    assert!((outcome.statistic - batch).abs() < 1e-12, "i = {i}");
                 }
             }
         }

@@ -6,10 +6,9 @@
 //! undetected. A [`MonitorSnapshot`] captures everything a monitor needs
 //! to continue *exactly* where it stopped: the configuration, both window
 //! contents (oldest first), and the alarm/degradation counters. Derived
-//! structures are deliberately **not** serialized — the incremental KS
-//! treap and the reference order-statistics index are rebuilt from the
-//! window values on restore — which keeps the format small and
-//! forward-compatible with internal data-structure changes.
+//! structures are deliberately **not** serialized — the KS treap is
+//! rebuilt from the window values on restore — which keeps the format
+//! small and forward-compatible with internal data-structure changes.
 //!
 //! ## The byte-identity guarantee
 //!
@@ -17,7 +16,7 @@
 //! never interrupted (pinned by `tests/snapshot_roundtrip.rs`). This is a
 //! theorem about the implementation, not luck: the incremental KS decision
 //! is computed in *exact integer arithmetic* (`max |prefix|` over weighted
-//! ranks, divided by `n·m` once at the end), so it depends only on the
+//! ranks, divided by `w` once at the end), so it depends only on the
 //! window **multisets**, never on treap shape, insertion history, or
 //! internal ID assignment; Spectral-Residual preference scores depend only
 //! on the test window **values**; and the explanation construction is a

@@ -54,6 +54,13 @@ impl WeightedTreap {
         Self { nodes: Vec::new(), free: Vec::new(), root: NIL, rng_state: seed | 1 }
     }
 
+    /// Removes every value, keeping the node arena's allocation for reuse.
+    pub fn clear(&mut self) {
+        self.nodes.clear();
+        self.free.clear();
+        self.root = NIL;
+    }
+
     /// Number of distinct values stored.
     pub fn distinct_values(&self) -> usize {
         if self.root == NIL {
@@ -237,6 +244,7 @@ impl WeightedTreap {
 
     /// Applies a weight/element-count delta at `value`, creating the node
     /// on first use and freeing it when its element count returns to zero.
+    /// `-0.0` and `0.0` are the same key: they tie in an ECDF.
     ///
     /// # Panics
     ///
@@ -244,6 +252,7 @@ impl WeightedTreap {
     /// negative (removing something never added).
     pub fn update(&mut self, value: f64, weight_delta: i64, elems_delta: i32) {
         assert!(value.is_finite(), "treap keys must be finite");
+        let value = value + 0.0; // -0.0 + 0.0 == +0.0
         let root = self.root;
         let (a, bc) = self.split_lt(root, value);
         let (b, c) = self.split_le(bc, value);
