@@ -1,70 +1,47 @@
-//! Parallel batch explanation: many failed KS tests, explained at once.
+//! Parallel batch explanation: many failed KS tests against one shared
+//! reference, explained at once — the eager front end of
+//! [`crate::pipeline`]. [`BatchExplainer`] lends each window of a slice to
+//! the pipeline's workers (no copies) and collects the results in window
+//! order. What it owns itself:
 //!
-//! The deployment shape the ROADMAP targets is a monitoring service: one or
-//! few reference distributions, thousands of test windows arriving per
-//! evaluation tick, an explanation wanted for every window that fails the
-//! KS test. Explaining them one [`crate::Moche::explain`] call at a time
-//! leaves cores idle and re-does shared work (sorting and validating the
-//! same reference, reallocating identical scratch buffers) per window.
+//! * **the shared reference**, validated and sorted once
+//!   ([`SortedReference`]) or indexed once ([`ReferenceMode::Indexed`]),
+//!   cutting the per-window cost from `O((n + m) log(n + m))` to
+//!   `O(n + m log m)`;
+//! * **the preference vocabulary** ([`WindowPreferences`]), with score
+//!   callbacks evaluated inside the workers;
+//! * **the 1-D kernel** it shares with [`crate::streaming`]: an
+//!   [`ExplainEngine`], a recycled preference list and an output arena per
+//!   worker.
 //!
-//! [`BatchExplainer`] fixes both:
-//!
-//! * **Parallelism.** Jobs are distributed over a pool of scoped worker
-//!   threads (`std::thread::scope` — no dependencies, no unsafe code). Each
-//!   worker owns one [`ExplainEngine`], so scratch buffers are allocated
-//!   once per thread, not once per job. Work is claimed from a shared
-//!   atomic counter, which load-balances jobs of uneven cost (explanation
-//!   cost varies with `k` and `q`).
-//! * **The shared-reference mode.** [`explain_windows`]
-//!   (one `R`, many `T` windows) validates and sorts the reference once
-//!   into a [`SortedReference`] and reuses it for every window's base-vector
-//!   build, cutting the per-window cost from `O((n + m) log(n + m))` to
-//!   `O(n + m log m)` — significant when `n >> m`, the common monitoring
-//!   regime.
-//!
-//! The batch API materializes every result, so output buffers cannot be
-//! recycled here; for unbounded runs that consume results one at a time in
-//! constant memory (windows *and* outputs recycled), use
-//! [`crate::streaming::StreamingBatchExplainer::explain_source`].
-//!
-//! Results are returned in job order and are byte-identical to sequential
-//! [`crate::Moche::explain`] calls (enforced by `tests/proptest_engine.rs`).
-//! Failed tests yield `Ok(Explanation)`; windows that pass the test, or
-//! invalid inputs, yield the same `Err` the sequential API produces, so a
-//! caller can distinguish "nothing to explain" from real failures per job.
-//!
-//! [`explain_windows`]: BatchExplainer::explain_windows
-//!
-//! # Examples
+//! Results are byte-identical to sequential [`crate::Moche::explain`] calls
+//! (enforced by `tests/proptest_engine.rs`): failed tests yield
+//! `Ok(Explanation)`, passing windows and invalid inputs the same `Err` the
+//! sequential API produces.
 //!
 //! ```
-//! use moche_core::batch::{BatchExplainer, BatchJob};
-//! use moche_core::{PreferenceList, SortedReference};
+//! use moche_core::batch::BatchExplainer;
+//! use moche_core::SortedReference;
 //!
 //! let reference: Vec<f64> = (0..64).map(|i| f64::from(i % 8)).collect();
 //! let windows: Vec<Vec<f64>> = (0..16)
 //!     .map(|w| (0..32).map(|i| f64::from((i + w) % 8) + 4.0).collect())
 //!     .collect();
 //!
-//! let explainer = BatchExplainer::new(0.05).unwrap();
 //! let shared = SortedReference::new(&reference).unwrap();
-//! let results = explainer.explain_windows(&shared, &windows, None);
-//! assert_eq!(results.len(), windows.len());
-//! for result in &results {
-//!     let e = result.as_ref().unwrap();
-//!     assert!(e.outcome_after.passes());
-//! }
+//! let results = BatchExplainer::new(0.05).unwrap().explain_windows(&shared, &windows, None);
+//! assert!(results.iter().all(|r| r.as_ref().unwrap().outcome_after.passes()));
 //! ```
 
+use crate::arena::ExplanationArena;
 use crate::base_vector::SortedReference;
 use crate::engine::ExplainEngine;
 use crate::error::MocheError;
 use crate::ks::KsConfig;
 use crate::moche::Explanation;
+use crate::pipeline::{Pipeline, WindowKernel};
 use crate::preference::PreferenceList;
 use crate::ref_index::ReferenceIndex;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Mutex, PoisonError};
 
 /// How the shared reference is prepared for per-window base-vector builds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -126,39 +103,87 @@ impl std::fmt::Debug for WindowPreferences<'_> {
     }
 }
 
-/// One independent `(reference, test, preference)` explanation request.
-#[derive(Debug, Clone, Copy)]
-pub struct BatchJob<'a> {
-    /// The reference sample `R`.
-    pub reference: &'a [f64],
-    /// The test sample `T`.
-    pub test: &'a [f64],
-    /// Preference order over `T`; `None` means the identity order.
-    pub preference: Option<&'a PreferenceList>,
+/// The shared reference a 1-D kernel explains against.
+#[derive(Clone, Copy)]
+pub(crate) enum Reference<'a> {
+    Merged(&'a SortedReference),
+    Indexed(&'a ReferenceIndex),
 }
 
-/// Per-worker recycled state: the engine (which owns every internal scratch
-/// buffer) plus a preference list reused by the identity and scored-into
-/// paths, so neither allocates per window in steady state.
-struct WorkerScratch {
-    engine: ExplainEngine,
+/// The 1-D [`WindowKernel`]: per-worker engine (which owns every internal
+/// scratch buffer), a preference list reused by the identity and
+/// scored-into paths, and the output arena — so a warm worker allocates
+/// nothing per window once the sink hands its outputs back.
+pub(crate) struct ExplainKernel<'a> {
+    reference: Reference<'a>,
+    preferences: WindowPreferences<'a>,
+    pub(crate) engine: ExplainEngine,
     pref: PreferenceList,
+    arena: ExplanationArena,
 }
 
-impl WorkerScratch {
-    fn new(cfg: KsConfig) -> Self {
-        Self { engine: ExplainEngine::with_config(cfg), pref: PreferenceList::identity(0) }
+impl<'a> ExplainKernel<'a> {
+    pub(crate) fn new(
+        cfg: KsConfig,
+        reference: Reference<'a>,
+        preferences: WindowPreferences<'a>,
+    ) -> Self {
+        Self {
+            reference,
+            preferences,
+            engine: ExplainEngine::with_config(cfg),
+            pref: PreferenceList::identity(0),
+            arena: ExplanationArena::new(),
+        }
+    }
+}
+
+impl WindowKernel for ExplainKernel<'_> {
+    type Point = f64;
+    type Output = Explanation;
+
+    fn process(&mut self, window_id: usize, window: &[f64]) -> Result<Explanation, MocheError> {
+        let owned;
+        let pref = match self.preferences {
+            WindowPreferences::Identity => {
+                if self.pref.len() != window.len() {
+                    self.pref.fill_identity(window.len());
+                }
+                &self.pref
+            }
+            WindowPreferences::PerWindow(lists) => &lists[window_id],
+            WindowPreferences::Scored(score) => {
+                owned = score(window_id, window)?;
+                &owned
+            }
+            WindowPreferences::ScoredInto(score) => {
+                score(window_id, window, &mut self.pref)?;
+                &self.pref
+            }
+        };
+        match self.reference {
+            Reference::Merged(r) => {
+                self.engine.explain_with_reference_in(r, window, pref, &mut self.arena)
+            }
+            Reference::Indexed(i) => {
+                self.engine.explain_with_index_in(i, window, pref, &mut self.arena)
+            }
+        }
+    }
+
+    fn reclaim(&mut self, explanation: Explanation) {
+        self.arena.recycle(explanation);
     }
 }
 
 /// A parallel explainer over many failed KS tests.
 ///
-/// Cheap to construct (two scalars); holds no buffers itself — per-thread
-/// [`ExplainEngine`]s are created inside each call.
+/// Cheap to construct (a few scalars); holds no buffers itself — per-worker
+/// kernels are created inside each call.
 #[derive(Debug, Clone, Copy)]
 pub struct BatchExplainer {
     cfg: KsConfig,
-    threads: usize,
+    pipeline: Pipeline,
     reference_mode: ReferenceMode,
 }
 
@@ -175,14 +200,14 @@ impl BatchExplainer {
 
     /// Creates a batch explainer from an existing [`KsConfig`].
     pub fn with_config(cfg: KsConfig) -> Self {
-        Self { cfg, threads: 0, reference_mode: ReferenceMode::default() }
+        Self { cfg, pipeline: Pipeline::default(), reference_mode: ReferenceMode::default() }
     }
 
     /// Caps the worker-thread count. `0` (the default) means "one per
     /// available core".
     #[must_use]
     pub fn threads(mut self, threads: usize) -> Self {
-        self.threads = threads;
+        self.pipeline.threads = threads;
         self
     }
 
@@ -207,28 +232,7 @@ impl BatchExplainer {
     /// serializes — so CLI consumers report this number instead of the
     /// requested cap.
     pub fn effective_threads(&self, jobs: usize) -> usize {
-        self.worker_count(jobs)
-    }
-
-    fn worker_count(&self, jobs: usize) -> usize {
-        let hw = std::thread::available_parallelism().map_or(1, |n| n.get());
-        let cap = if self.threads == 0 { hw } else { self.threads };
-        cap.min(jobs).max(1)
-    }
-
-    /// Explains every job, in parallel, returning results in job order.
-    ///
-    /// Per-job errors (passing test, bad preference, invalid input) are
-    /// reported in the corresponding slot; one bad job never poisons the
-    /// batch.
-    pub fn explain_jobs(&self, jobs: &[BatchJob<'_>]) -> Vec<Result<Explanation, MocheError>> {
-        self.run(jobs, |scratch, job| match job.preference {
-            Some(pref) => scratch.engine.explain(job.reference, job.test, pref),
-            None => {
-                scratch.pref.fill_identity(job.test.len());
-                scratch.engine.explain(job.reference, job.test, &scratch.pref)
-            }
-        })
+        self.pipeline.workers(Some(jobs))
     }
 
     /// The shared-reference mode: one reference, many test windows. The
@@ -279,139 +283,20 @@ impl BatchExplainer {
         windows: &[W],
         preferences: WindowPreferences<'_>,
     ) -> Vec<Result<Explanation, MocheError>> {
-        if let WindowPreferences::PerWindow(prefs) = preferences {
-            if prefs.len() != windows.len() {
-                let err = MocheError::PreferenceCountMismatch {
-                    windows: windows.len(),
-                    preferences: prefs.len(),
-                };
-                return windows.iter().map(|_| Err(err.clone())).collect();
+        let index;
+        let reference = match self.reference_mode {
+            ReferenceMode::Merged => Reference::Merged(reference),
+            ReferenceMode::Indexed => {
+                index = ReferenceIndex::from_sorted(reference);
+                Reference::Indexed(&index)
             }
-        }
-        let index = match self.reference_mode {
-            ReferenceMode::Merged => None,
-            ReferenceMode::Indexed => Some(ReferenceIndex::from_sorted(reference)),
         };
-        let jobs: Vec<usize> = (0..windows.len()).collect();
-        self.run(&jobs, |scratch, &i| {
-            let window = windows[i].as_ref();
-            let owned_pref;
-            let pref = match preferences {
-                WindowPreferences::Identity => {
-                    scratch.pref.fill_identity(window.len());
-                    &scratch.pref
-                }
-                WindowPreferences::PerWindow(prefs) => &prefs[i],
-                WindowPreferences::Scored(score) => {
-                    owned_pref = score(i, window)?;
-                    &owned_pref
-                }
-                WindowPreferences::ScoredInto(score) => {
-                    score(i, window, &mut scratch.pref)?;
-                    &scratch.pref
-                }
-            };
-            match &index {
-                Some(index) => scratch.engine.explain_with_index(index, window, pref),
-                None => scratch.engine.explain_with_reference(reference, window, pref),
-            }
-        })
-    }
-
-    /// The worker pool: claim-by-atomic-counter over `items`, one scratch
-    /// set (engine + recycled preference list) per worker, results
-    /// collected in item order.
-    ///
-    /// Every job runs under [`run_one`](Self::run_one)'s `catch_unwind`, so
-    /// a panicking job (a buggy score callback, an injected fault) yields
-    /// [`MocheError::WorkerPanicked`] in its own slot and nothing else: the
-    /// worker rebuilds its scratch and keeps claiming jobs, and sibling
-    /// workers never observe the panic.
-    fn run<T, F>(&self, items: &[T], f: F) -> Vec<Result<Explanation, MocheError>>
-    where
-        T: Sync,
-        F: Fn(&mut WorkerScratch, &T) -> Result<Explanation, MocheError> + Sync,
-    {
-        let n = items.len();
-        let workers = self.worker_count(n);
-        if workers <= 1 {
-            // The sequential fast path (single core, or one job) must give
-            // the same isolation guarantee as the pool.
-            let mut scratch = WorkerScratch::new(self.cfg);
-            return (0..n).map(|i| self.run_one(&mut scratch, &f, items, i)).collect();
-        }
-
-        let next = AtomicUsize::new(0);
-        let slots: Vec<Mutex<Option<Result<Explanation, MocheError>>>> =
-            (0..n).map(|_| Mutex::new(None)).collect();
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| {
-                    let mut scratch = WorkerScratch::new(self.cfg);
-                    loop {
-                        // lint:allow(relaxed): work-claim index — the RMW's
-                        // atomicity alone partitions jobs; job inputs are
-                        // published by the scoped-thread spawn, not this add.
-                        // lint:allow(relaxed): monotonic stats counter; no cross-thread handoff rides on it
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= n {
-                            break;
-                        }
-                        let result = self.run_one(&mut scratch, &f, items, i);
-                        // Each slot is written by exactly one claimant and
-                        // read only after the scope joins; a poisoned flag
-                        // can only be the residue of an already-reported
-                        // panic, so recover the value rather than cascade.
-                        *slots[i].lock().unwrap_or_else(PoisonError::into_inner) = Some(result);
-                    }
-                });
-            }
-        });
-        slots
-            .into_iter()
-            .enumerate()
-            .map(|(i, slot)| {
-                slot.into_inner().unwrap_or_else(PoisonError::into_inner).unwrap_or_else(|| {
-                    // Unreachable while claiming is exhaustive; reported as
-                    // a per-window error rather than trusted with a panic.
-                    Err(MocheError::WorkerPanicked {
-                        window: i,
-                        message: "result slot was never filled".to_string(),
-                    })
-                })
-            })
-            .collect()
-    }
-
-    /// Runs one job under `catch_unwind`. On a caught panic the scratch
-    /// (engine buffers, preference list) may be mid-mutation, so it is
-    /// rebuilt before the worker continues; the panic itself becomes
-    /// [`MocheError::WorkerPanicked`] carrying the payload's message.
-    fn run_one<T, F>(
-        &self,
-        scratch: &mut WorkerScratch,
-        f: &F,
-        items: &[T],
-        i: usize,
-    ) -> Result<Explanation, MocheError>
-    where
-        T: Sync,
-        F: Fn(&mut WorkerScratch, &T) -> Result<Explanation, MocheError> + Sync,
-    {
-        let attempt = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            crate::fault::failpoint("batch.worker");
-            f(scratch, &items[i])
-        }));
-        match attempt {
-            Ok(result) => result,
-            Err(payload) => {
-                *scratch = WorkerScratch::new(self.cfg);
-                Err(MocheError::WorkerPanicked {
-                    window: i,
-                    message: crate::fault::panic_message(payload.as_ref()),
-                })
-            }
-        }
+        let count = match preferences {
+            WindowPreferences::PerWindow(lists) => Some(lists.len()),
+            _ => None,
+        };
+        self.pipeline
+            .collect(windows, count, || ExplainKernel::new(self.cfg, reference, preferences))
     }
 }
 
@@ -431,14 +316,13 @@ mod tests {
     }
 
     #[test]
-    fn jobs_match_sequential_reference_path() {
+    fn windows_match_sequential_reference_path() {
         let (r, windows) = windows_against(10, 12, 60);
+        let shared = SortedReference::new(&r).unwrap();
         let moche = Moche::new(0.05).unwrap().construction(ConstructionStrategy::Reference);
-        let jobs: Vec<BatchJob<'_>> =
-            windows.iter().map(|w| BatchJob { reference: &r, test: w, preference: None }).collect();
         for threads in [1, 4] {
             let batch = BatchExplainer::new(0.05).unwrap().threads(threads);
-            let results = batch.explain_jobs(&jobs);
+            let results = batch.explain_windows(&shared, &windows, None);
             assert_eq!(results.len(), windows.len());
             for (w, result) in windows.iter().zip(&results) {
                 let pref = PreferenceList::identity(w.len());
@@ -447,21 +331,6 @@ mod tests {
                 assert_eq!(got.indices(), expected.indices());
                 assert_eq!(got.phase1, expected.phase1);
             }
-        }
-    }
-
-    #[test]
-    fn shared_reference_matches_independent_jobs() {
-        let (r, windows) = windows_against(10, 16, 50);
-        let shared = SortedReference::new(&r).unwrap();
-        let batch = BatchExplainer::new(0.05).unwrap().threads(4);
-        let jobs: Vec<BatchJob<'_>> =
-            windows.iter().map(|w| BatchJob { reference: &r, test: w, preference: None }).collect();
-        let a = batch.explain_jobs(&jobs);
-        let b = batch.explain_windows(&shared, &windows, None);
-        assert_eq!(a.len(), b.len());
-        for (x, y) in a.iter().zip(&b) {
-            assert_eq!(x.as_ref().unwrap(), y.as_ref().unwrap());
         }
     }
 
@@ -571,15 +440,13 @@ mod tests {
     }
 
     #[test]
-    fn bad_jobs_do_not_poison_the_batch() {
+    fn bad_windows_do_not_poison_the_batch() {
         let (r, windows) = windows_against(10, 4, 40);
-        let passing = r.clone();
-        let jobs = vec![
-            BatchJob { reference: &r, test: &windows[0], preference: None },
-            BatchJob { reference: &r, test: &passing, preference: None }, // passes
-            BatchJob { reference: &r, test: &windows[1], preference: None },
-        ];
-        let results = BatchExplainer::new(0.05).unwrap().threads(2).explain_jobs(&jobs);
+        let shared = SortedReference::new(&r).unwrap();
+        // The middle window passes the KS test.
+        let windows = vec![windows[0].clone(), r.clone(), windows[1].clone()];
+        let results =
+            BatchExplainer::new(0.05).unwrap().threads(2).explain_windows(&shared, &windows, None);
         assert!(results[0].is_ok());
         assert!(matches!(results[1], Err(MocheError::TestAlreadyPasses { .. })));
         assert!(results[2].is_ok());
@@ -665,7 +532,6 @@ mod tests {
     #[test]
     fn empty_batch_is_fine() {
         let batch = BatchExplainer::new(0.05).unwrap();
-        assert!(batch.explain_jobs(&[]).is_empty());
         let shared = SortedReference::new(&[1.0, 2.0]).unwrap();
         let no_windows: Vec<Vec<f64>> = Vec::new();
         assert!(batch.explain_windows(&shared, &no_windows, None).is_empty());

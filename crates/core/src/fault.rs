@@ -18,14 +18,10 @@
 //!
 //! | Name | Location | Faults honoured |
 //! |---|---|---|
-//! | `batch.worker` | [`crate::batch::BatchExplainer`] per-job execution | `Panic` |
-//! | `stream.worker` | [`crate::streaming::StreamingBatchExplainer`] per-window execution | `Panic` |
-//! | `stream.feeder` | streaming feeder loop, before each window fill | `Panic`, `Error` (stop feeding) |
-//! | `stream.reorder` | in-order delivery loop, before ring insertion | `Panic` |
-//! | `stream.arena_return` | delivery loop, before returning a consumed arena | `Error` (drop instead of return) |
-//! | `batch2d.worker` | `moche_multidim::batch2d::Batch2dExplainer` per-window execution | `Panic` |
-//! | `stream2d.worker` | `moche_multidim::stream2d::Stream2dExplainer` per-window execution | `Panic` |
-//! | `stream2d.feeder` | 2-D streaming feeder loop, before each window fill | `Panic`, `Error` (stop feeding) |
+//! | `pipeline.worker` | [`crate::pipeline`] per-window execution (every batch and stream front end, 1-D and 2-D) | `Panic` |
+//! | `pipeline.feeder` | pipeline feed, before each window is pulled from the source | `Panic`, `Error` (end of stream) |
+//! | `pipeline.reorder` | parallel in-order delivery, before reorder-ring insertion | `Panic` |
+//! | `pipeline.reclaim` | delivery, before handing a consumed output back to a kernel | `Error` (drop instead of reclaim) |
 //! | `checkpoint.write` | `moche_stream` snapshot writer | `Error` (fail the write), `TruncateWrite` (torn file) |
 //! | `serve.accept` | `moche serve` connection accept loop | `Error` (simulated accept failure; the daemon logs and keeps listening) |
 //! | `serve.shard_worker` | fleet shard push path (`moche_stream` `FleetShard::push`) | `Panic` (caught; the series is quarantined, the shard survives) |

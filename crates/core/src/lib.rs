@@ -68,13 +68,14 @@ pub mod ks;
 pub mod moche;
 pub mod phase1;
 pub mod phase2;
+pub mod pipeline;
 pub mod preference;
 pub mod ref_index;
 pub mod streaming;
 
 pub use arena::ExplanationArena;
 pub use base_vector::{BaseVector, SortedReference};
-pub use batch::{BatchExplainer, BatchJob, ReferenceMode, ScoreFn, ScoreIntoFn, WindowPreferences};
+pub use batch::{BatchExplainer, ReferenceMode, ScoreFn, ScoreIntoFn, WindowPreferences};
 pub use bounds::{BoundsContext, BoundsWorkspace};
 pub use cumulative::{CumulativeVector, SubsetCounts};
 pub use ecdf::Ecdf;
@@ -93,7 +94,7 @@ pub use streaming::{
 pub mod prelude {
     pub use crate::arena::ExplanationArena;
     pub use crate::base_vector::{BaseVector, SortedReference};
-    pub use crate::batch::{BatchExplainer, BatchJob};
+    pub use crate::batch::BatchExplainer;
     pub use crate::bounds::BoundsContext;
     pub use crate::ecdf::Ecdf;
     pub use crate::engine::ExplainEngine;

@@ -1,63 +1,29 @@
 //! Bounded-memory streaming batch explanation: explain windows as they
-//! arrive instead of buffering them all up front.
+//! arrive instead of buffering them all up front — the streaming front end
+//! of [`crate::pipeline`].
 //!
-//! [`crate::batch::BatchExplainer`] wants every window in memory before it
-//! starts — fine for a few thousand windows, wrong for the monitor
-//! deployment where windows arrive indefinitely. [`StreamingBatchExplainer`]
-//! accepts windows from any iterator (a lazily-parsed file, a socket, a
-//! generator) and pipelines them through a pool of workers with **bounded
-//! memory**:
-//!
-//! * a feeder thread pulls windows from the source into a
-//!   [`sync_channel`](std::sync::mpsc::sync_channel) whose capacity is the
-//!   configured [`buffer`](StreamingBatchExplainer::buffer) — the source
-//!   is never driven more than `buffer` windows ahead of the workers;
-//! * each worker owns one [`ExplainEngine`] (scratch buffers and the
-//!   identity preference are recycled across windows) and splices every
-//!   window into the shared [`ReferenceIndex`] — the amortized
-//!   [`crate::BaseVector::build_with_index`] path;
-//! * completed windows pass through a preallocated reorder ring so results
-//!   are delivered to the caller **in arrival order**, exactly matching the
-//!   sequential output. The ring is bounded (a window can only wait on
-//!   in-flight predecessors), so total residency is
-//!   `O((buffer + threads) · m)` regardless of stream length.
-//!
-//! On top of the bounded *residency*, the [`explain_source`] entry point
-//! makes the steady state allocation-free end to end by recycling every
-//! per-window buffer:
-//!
-//! * windows are *filled* into recycled `Vec<f64>` buffers by a
-//!   [`WindowSource`] instead of being allocated by the producer — drained
-//!   buffers flow back to the feeder through a bounded return ring;
-//! * explanation outputs are written into [`ExplanationArena`] storage
-//!   (each worker owns one arena; a fixed per-worker slab), and once the
-//!   caller's callback has consumed a result the output buffers flow back
-//!   to the workers through a second bounded return ring.
-//!
-//! After warm-up a single-threaded [`explain_source`] run performs **zero
-//! heap allocations per window** (gated by the `BENCH_core.json` perf
-//! suite and the `alloc_count.rs` tests). The parallel path's return rings
-//! are bounded `sync_channel`s whose slot arrays are preallocated, so its
-//! steady state is allocation-free too; scoring callbacks can join via
-//! [`explain_source_scored`](StreamingBatchExplainer::explain_source_scored).
-//!
-//! The [`StreamMode::SizeOnly`] mode runs Phase 1 only and reports just the
-//! explanation size `k` per window — "how bad is the drift" at a fraction
-//! of the cost, the common monitoring question.
+//! [`StreamingBatchExplainer`] takes windows from an iterator or a
+//! fill-style [`WindowSource`] (a lazily-parsed file, a socket, a
+//! generator), explains them against a shared [`ReferenceIndex`] with the
+//! batch's 1-D kernel, and delivers results in arrival order with
+//! `O((buffer + threads) · m)` residency. The [`explain_source`] entry
+//! points recycle every per-window buffer — windows are refilled into
+//! drained `Vec<f64>`s and consumed outputs return to the workers' arenas —
+//! so a warm single-threaded run performs **zero heap allocations per
+//! window** (gated by `BENCH_core.json` and the `alloc_count.rs` tests).
+//! [`StreamMode::SizeOnly`] runs Phase 1 only and reports just `k`.
 //!
 //! [`explain_source`]: StreamingBatchExplainer::explain_source
 
-use crate::arena::ExplanationArena;
+use crate::batch::{ExplainKernel, Reference, WindowPreferences};
 pub use crate::batch::{ScoreFn, ScoreIntoFn};
-use crate::engine::ExplainEngine;
 use crate::error::MocheError;
 use crate::ks::KsConfig;
 use crate::moche::Explanation;
 use crate::phase1::SizeSearch;
-use crate::preference::PreferenceList;
+pub use crate::pipeline::StreamSummary;
+use crate::pipeline::{refill, Pipeline, WindowKernel};
 use crate::ref_index::ReferenceIndex;
-use std::sync::mpsc;
-use std::sync::{Arc, Mutex, PoisonError};
 
 /// What the streaming engine computes per window.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -90,23 +56,6 @@ impl<F: FnMut(&mut Vec<f64>) -> bool> WindowSource for F {
     }
 }
 
-/// Adapts an iterator of owned windows to the fill-style interface (the
-/// recycled buffer is simply replaced, so this path allocates exactly what
-/// the iterator does).
-struct IterSource<I>(I);
-
-impl<I: Iterator<Item = Vec<f64>>> WindowSource for IterSource<I> {
-    fn fill(&mut self, window: &mut Vec<f64>) -> bool {
-        match self.0.next() {
-            Some(w) => {
-                *window = w;
-                true
-            }
-            None => false,
-        }
-    }
-}
-
 /// The successful payload of one streamed window.
 #[derive(Debug, Clone, PartialEq)]
 #[allow(clippy::large_enum_variant)] // Explained carries the full Explanation by design
@@ -127,106 +76,31 @@ pub struct StreamResult {
     pub result: Result<WindowReport, MocheError>,
 }
 
-/// Aggregate statistics of one streaming run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct StreamSummary {
-    /// Total windows consumed from the source.
-    pub windows: usize,
-    /// Windows that produced an explanation (or a size, in
-    /// [`StreamMode::SizeOnly`]).
-    pub explained: usize,
-    /// Windows whose KS test passed (nothing to explain).
-    pub passing: usize,
-    /// Windows that failed with any other error.
-    pub errors: usize,
-    /// Windows whose computation panicked (caught and reported as
-    /// [`MocheError::WorkerPanicked`]; also counted in
-    /// [`errors`](Self::errors)). The panic was isolated to that window —
-    /// the run itself completed.
-    pub panics: usize,
-    /// Worker threads actually used (1 means the run was sequential).
-    pub threads: usize,
+/// The streaming kernel: the batch's 1-D kernel plus the size-only mode.
+struct StreamKernel<'a> {
+    kernel: ExplainKernel<'a>,
+    index: &'a ReferenceIndex,
+    mode: StreamMode,
 }
 
-/// The per-worker recycled state: one engine (internal scratch), the cached
-/// identity preference, the scored-preference slot, and the output arena.
-struct WorkerState {
-    engine: ExplainEngine,
-    ident: PreferenceList,
-    /// The in-place target of [`ScoreIntoFn`] callbacks, reused across
-    /// windows so scored streams stay on the zero-allocation path.
-    scored: PreferenceList,
-    arena: ExplanationArena,
-}
+impl WindowKernel for StreamKernel<'_> {
+    type Point = f64;
+    type Output = WindowReport;
 
-impl WorkerState {
-    fn new(cfg: KsConfig) -> Self {
-        Self {
-            engine: ExplainEngine::with_config(cfg),
-            ident: PreferenceList::identity(0),
-            scored: PreferenceList::identity(0),
-            arena: ExplanationArena::new(),
+    fn process(&mut self, window_id: usize, window: &[f64]) -> Result<WindowReport, MocheError> {
+        match self.mode {
+            StreamMode::SizeOnly => {
+                self.kernel.engine.size_with_index(self.index, window).map(WindowReport::Size)
+            }
+            StreamMode::Explain => {
+                self.kernel.process(window_id, window).map(WindowReport::Explained)
+            }
         }
     }
-}
 
-/// How the streaming engine derives each window's preference — the
-/// internal union of the public entry points' score arguments.
-#[derive(Clone, Copy)]
-enum ScoreMode<'a> {
-    /// The identity order (cached per worker).
-    Identity,
-    /// A fresh [`PreferenceList`] per window ([`ScoreFn`]).
-    Owned(ScoreFn<'a>),
-    /// The worker-recycled in-place form ([`ScoreIntoFn`]).
-    Recycled(ScoreIntoFn<'a>),
-}
-
-/// Reorders completed windows into arrival order with a preallocated ring —
-/// no per-window allocation, unlike a `BTreeMap`. Capacity is sized to the
-/// maximum number of undelivered windows (every stage of the pipeline is
-/// bounded), with a defensive regrow should that invariant ever break.
-struct ReorderRing {
-    slots: Vec<Option<StreamResult>>,
-    next: usize,
-}
-
-impl ReorderRing {
-    fn new(capacity: usize) -> Self {
-        Self { slots: (0..capacity.max(1)).map(|_| None).collect(), next: 0 }
-    }
-
-    fn insert(&mut self, result: StreamResult) {
-        debug_assert!(result.window >= self.next, "window {} delivered twice", result.window);
-        if result.window - self.next >= self.slots.len()
-            || self.slots[result.window % self.slots.len()].is_some()
-        {
-            self.grow(result.window - self.next + 1);
-        }
-        let idx = result.window % self.slots.len();
-        self.slots[idx] = Some(result);
-    }
-
-    fn pop_ready(&mut self) -> Option<StreamResult> {
-        let idx = self.next % self.slots.len();
-        let result = self.slots[idx].take()?;
-        self.next += 1;
-        Some(result)
-    }
-
-    fn is_empty(&self) -> bool {
-        self.slots.iter().all(Option::is_none)
-    }
-
-    /// Rebuilds at a larger capacity; pending entries keep their logical
-    /// position (`window % capacity` changes, so they are re-placed).
-    fn grow(&mut self, needed: usize) {
-        let capacity = (self.slots.len().max(needed) + 1).next_power_of_two();
-        let old = std::mem::replace(&mut self.slots, (0..capacity).map(|_| None).collect());
-        for result in old.into_iter().flatten() {
-            let idx = result.window % capacity;
-            debug_assert!(self.slots[idx].is_none());
-            self.slots[idx] = Some(result);
+    fn reclaim(&mut self, report: WindowReport) {
+        if let WindowReport::Explained(explanation) = report {
+            self.kernel.reclaim(explanation);
         }
     }
 }
@@ -257,8 +131,7 @@ impl ReorderRing {
 #[derive(Debug, Clone, Copy)]
 pub struct StreamingBatchExplainer {
     cfg: KsConfig,
-    threads: usize,
-    buffer: usize,
+    pipeline: Pipeline,
     mode: StreamMode,
 }
 
@@ -275,14 +148,14 @@ impl StreamingBatchExplainer {
 
     /// Creates a streaming explainer from an existing [`KsConfig`].
     pub fn with_config(cfg: KsConfig) -> Self {
-        Self { cfg, threads: 0, buffer: 0, mode: StreamMode::default() }
+        Self { cfg, pipeline: Pipeline::default(), mode: StreamMode::default() }
     }
 
     /// Caps the worker-thread count. `0` (the default) means "one per
     /// available core".
     #[must_use]
     pub fn threads(mut self, threads: usize) -> Self {
-        self.threads = threads;
+        self.pipeline.threads = threads;
         self
     }
 
@@ -291,7 +164,7 @@ impl StreamingBatchExplainer {
     /// run is `O((buffer + threads) · window size)`.
     #[must_use]
     pub fn buffer(mut self, buffer: usize) -> Self {
-        self.buffer = buffer;
+        self.pipeline.buffer = buffer;
         self
     }
 
@@ -313,24 +186,7 @@ impl StreamingBatchExplainer {
     /// configured cap, or the core count for `0`). `1` means runs will be
     /// sequential.
     pub fn effective_threads(&self) -> usize {
-        self.worker_count()
-    }
-
-    fn worker_count(&self) -> usize {
-        let hw = std::thread::available_parallelism().map_or(1, |n| n.get());
-        if self.threads == 0 {
-            hw
-        } else {
-            self.threads.max(1)
-        }
-    }
-
-    fn buffer_bound(&self, workers: usize) -> usize {
-        if self.buffer == 0 {
-            (2 * workers).max(4)
-        } else {
-            self.buffer.max(1)
-        }
+        self.pipeline.workers(None)
     }
 
     /// Streams every window through the worker pool, calling `on_result`
@@ -355,24 +211,28 @@ impl StreamingBatchExplainer {
     ) -> StreamSummary
     where
         I: IntoIterator<Item = Vec<f64>>,
-        I::IntoIter: Send,
         F: FnMut(StreamResult),
     {
-        let score = score.map_or(ScoreMode::Identity, ScoreMode::Owned);
-        self.run(reference, IterSource(windows.into_iter()), score, |result| {
-            on_result(result);
-            None
-        })
+        let mut windows = windows.into_iter();
+        let preferences = score.map_or(WindowPreferences::Identity, WindowPreferences::Scored);
+        self.run(
+            reference,
+            preferences,
+            |_| windows.next(),
+            |window, result| {
+                on_result(StreamResult { window, result });
+                None
+            },
+        )
     }
 
     /// [`explain_stream`](Self::explain_stream) over a fill-style
     /// [`WindowSource`], with every per-window buffer recycled:
     ///
     /// * the source overwrites reused `Vec<f64>` buffers instead of
-    ///   allocating windows — drained buffers are returned to the feeder;
+    ///   allocating windows — drained buffers are returned to the feed;
     /// * results are lent to `on_result` by reference, and consumed
-    ///   explanation outputs are reclaimed into [`ExplanationArena`]s the
-    ///   workers reuse.
+    ///   explanation outputs are reclaimed into the workers' arenas.
     ///
     /// After warm-up a single-threaded run performs zero heap allocations
     /// per window; output is identical to
@@ -380,30 +240,24 @@ impl StreamingBatchExplainer {
     pub fn explain_source<S, F>(
         &self,
         reference: &ReferenceIndex,
-        source: S,
+        mut source: S,
         score: Option<ScoreFn<'_>>,
-        mut on_result: F,
+        on_result: F,
     ) -> StreamSummary
     where
-        S: WindowSource + Send,
+        S: WindowSource,
         F: FnMut(&StreamResult),
     {
-        let score = score.map_or(ScoreMode::Identity, ScoreMode::Owned);
-        self.run(reference, source, score, |result| {
-            on_result(&result);
-            match result.result {
-                Ok(WindowReport::Explained(e)) => Some(e),
-                _ => None,
-            }
-        })
+        let preferences = score.map_or(WindowPreferences::Identity, WindowPreferences::Scored);
+        self.run(reference, preferences, refill(move |w| source.fill(w)), lend(on_result))
     }
 
     /// [`explain_source`](Self::explain_source) with an in-place score
     /// callback: each window's preference is written into a worker-recycled
-    /// [`PreferenceList`] ([`ScoreIntoFn`], e.g. via
-    /// [`PreferenceList::fill_from_scores_desc`]) instead of being
-    /// allocated per window. With this entry point *scored* streams join
-    /// the zero-allocation steady state previously reserved for
+    /// [`PreferenceList`](crate::PreferenceList) ([`ScoreIntoFn`], e.g. via
+    /// [`PreferenceList::fill_from_scores_desc`](crate::PreferenceList::fill_from_scores_desc))
+    /// instead of being allocated per window. With this entry point
+    /// *scored* streams join the zero-allocation steady state of
     /// identity-preference streams (gated by the
     /// `scored_stream_allocates_nothing_when_warm` test); results are
     /// identical to [`explain_source`](Self::explain_source) with the
@@ -411,318 +265,45 @@ impl StreamingBatchExplainer {
     pub fn explain_source_scored<S, F>(
         &self,
         reference: &ReferenceIndex,
-        source: S,
-        score: ScoreIntoFn<'_>,
-        mut on_result: F,
-    ) -> StreamSummary
-    where
-        S: WindowSource + Send,
-        F: FnMut(&StreamResult),
-    {
-        self.run(reference, source, ScoreMode::Recycled(score), |result| {
-            on_result(&result);
-            match result.result {
-                Ok(WindowReport::Explained(e)) => Some(e),
-                _ => None,
-            }
-        })
-    }
-
-    /// Shared driver behind the public entry points. The sink consumes
-    /// each in-order result and may hand a consumed explanation back for
-    /// output-buffer recycling.
-    fn run<S, F>(
-        &self,
-        reference: &ReferenceIndex,
-        source: S,
-        score: ScoreMode<'_>,
-        sink: F,
-    ) -> StreamSummary
-    where
-        S: WindowSource + Send,
-        F: FnMut(StreamResult) -> Option<Explanation>,
-    {
-        let workers = self.worker_count();
-        if workers <= 1 {
-            self.run_sequential(reference, source, score, sink)
-        } else {
-            self.run_parallel(reference, source, score, sink, workers)
-        }
-    }
-
-    /// [`process`](Self::process) under `catch_unwind`: a panicking window
-    /// (a buggy score callback, an injected fault) is isolated to its own
-    /// result as [`MocheError::WorkerPanicked`]. The worker state may be
-    /// mid-mutation when the panic lands, so it is rebuilt before the next
-    /// window — correctness over the rare-path allocation.
-    fn process_caught(
-        &self,
-        state: &mut WorkerState,
-        reference: &ReferenceIndex,
-        score: ScoreMode<'_>,
-        window_id: usize,
-        window: &[f64],
-    ) -> Result<WindowReport, MocheError> {
-        let attempt = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            crate::fault::failpoint("stream.worker");
-            self.process(state, reference, score, window_id, window)
-        }));
-        match attempt {
-            Ok(result) => result,
-            Err(payload) => {
-                *state = WorkerState::new(self.cfg);
-                Err(MocheError::WorkerPanicked {
-                    window: window_id,
-                    message: crate::fault::panic_message(payload.as_ref()),
-                })
-            }
-        }
-    }
-
-    /// One window's computation, on worker-owned state: the engine's
-    /// scratch, the cached identity preference and the output arena are all
-    /// recycled, so steady-state streams allocate nothing here.
-    fn process(
-        &self,
-        state: &mut WorkerState,
-        reference: &ReferenceIndex,
-        score: ScoreMode<'_>,
-        window_id: usize,
-        window: &[f64],
-    ) -> Result<WindowReport, MocheError> {
-        match self.mode {
-            StreamMode::SizeOnly => {
-                state.engine.size_with_index(reference, window).map(WindowReport::Size)
-            }
-            StreamMode::Explain => {
-                let owned;
-                let pref = match score {
-                    ScoreMode::Owned(score) => {
-                        owned = score(window_id, window)?;
-                        &owned
-                    }
-                    ScoreMode::Recycled(score) => {
-                        score(window_id, window, &mut state.scored)?;
-                        &state.scored
-                    }
-                    ScoreMode::Identity => {
-                        if state.ident.len() != window.len() {
-                            state.ident.fill_identity(window.len());
-                        }
-                        &state.ident
-                    }
-                };
-                state
-                    .engine
-                    .explain_with_index_in(reference, window, pref, &mut state.arena)
-                    .map(WindowReport::Explained)
-            }
-        }
-    }
-
-    fn run_sequential<S, F>(
-        &self,
-        reference: &ReferenceIndex,
         mut source: S,
-        score: ScoreMode<'_>,
-        mut sink: F,
+        score: ScoreIntoFn<'_>,
+        on_result: F,
     ) -> StreamSummary
     where
         S: WindowSource,
-        F: FnMut(StreamResult) -> Option<Explanation>,
+        F: FnMut(&StreamResult),
     {
-        let mut summary = StreamSummary { threads: 1, ..StreamSummary::default() };
-        let mut state = WorkerState::new(self.cfg);
-        let mut window = Vec::new();
-        let mut window_id = 0usize;
-        loop {
-            if matches!(crate::fault::failpoint("stream.feeder"), Some(crate::fault::Fault::Error))
-            {
-                break; // injected source failure: the stream just ends
-            }
-            if !source.fill(&mut window) {
-                break;
-            }
-            let result = self.process_caught(&mut state, reference, score, window_id, &window);
-            summary.tally(&result);
-            if let Some(explanation) = sink(StreamResult { window: window_id, result }) {
-                state.arena.recycle(explanation);
-            }
-            window_id += 1;
-        }
-        summary
+        let preferences = WindowPreferences::ScoredInto(score);
+        self.run(reference, preferences, refill(move |w| source.fill(w)), lend(on_result))
     }
 
-    fn run_parallel<S, F>(
+    /// Shared driver behind the public entry points: one [`StreamKernel`]
+    /// per worker over the pipeline.
+    fn run<H: AsRef<[f64]> + Send>(
         &self,
         reference: &ReferenceIndex,
-        source: S,
-        score: ScoreMode<'_>,
-        mut sink: F,
-        workers: usize,
-    ) -> StreamSummary
-    where
-        S: WindowSource + Send,
-        F: FnMut(StreamResult) -> Option<Explanation>,
-    {
-        let buffer = self.buffer_bound(workers);
-        let result_cap = buffer.max(workers);
-        let mut summary = StreamSummary { threads: workers, ..StreamSummary::default() };
-
-        // Feeder -> bounded job channel -> workers -> bounded result
-        // channel -> in-order delivery on this thread. Both forward
-        // channels are bounded, so the stream can run forever in constant
-        // memory. Two *bounded return rings* close the recycling loop:
-        // drained window buffers flow back to the feeder, and consumed
-        // explanation buffers flow back to the workers (which each also own
-        // one arena — a fixed per-worker slab the ring tops up). Bounded
-        // `sync_channel`s preallocate their slot array, so steady-state
-        // sends allocate nothing — unlike the unbounded channels they
-        // replace, which allocated roughly one block per 31 sends. The
-        // capacities cover every buffer that can be in flight at once, so
-        // `try_send` never finds the ring full; if the accounting were ever
-        // wrong the buffer would be dropped and reallocated, never lost.
-        let window_ring_cap = buffer + workers + 2;
-        let arena_ring_cap = result_cap + workers + 2;
-        let (job_tx, job_rx) = mpsc::sync_channel::<(usize, Vec<f64>)>(buffer);
-        // The job receiver is shared by reference-count rather than scope
-        // borrow so the delivery thread can *close* the channel (drop its
-        // handle after the last worker exits) even on the panic-unwind
-        // path — otherwise a feeder blocked on a full job buffer would
-        // never observe the shutdown and the scope join would deadlock.
-        let job_rx = Arc::new(Mutex::new(job_rx));
-        let (result_tx, result_rx) = mpsc::sync_channel::<StreamResult>(result_cap);
-        let (window_return_tx, window_return_rx) = mpsc::sync_channel::<Vec<f64>>(window_ring_cap);
-        let (arena_return_tx, arena_return_rx) =
-            mpsc::sync_channel::<ExplanationArena>(arena_ring_cap);
-        let arena_return_rx = Mutex::new(arena_return_rx);
-
-        // A panic in the caller's sink must not vanish (it is the caller's
-        // own bug surfacing) but also must not strand the pipeline: it is
-        // caught, the channels are shut down so every thread drains and
-        // stops, and the payload is re-raised after the scope has joined.
-        let mut sink_panic: Option<Box<dyn std::any::Any + Send>> = None;
-
-        std::thread::scope(|scope| {
-            scope.spawn(move || {
-                let mut source = source;
-                let mut window_id = 0usize;
-                // A panicking source (or an injected feeder fault) is
-                // contained here as end-of-stream: the job sender drops,
-                // workers drain what was fed and the run ends in order.
-                let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    loop {
-                        if matches!(
-                            crate::fault::failpoint("stream.feeder"),
-                            Some(crate::fault::Fault::Error)
-                        ) {
-                            break;
-                        }
-                        // Prefer a buffer a worker has drained; allocate only
-                        // while the pipeline is still warming up.
-                        let mut window = window_return_rx.try_recv().unwrap_or_default();
-                        if !source.fill(&mut window) {
-                            break;
-                        }
-                        if job_tx.send((window_id, window)).is_err() {
-                            break; // receivers are gone; nothing left to feed
-                        }
-                        window_id += 1;
-                    }
-                }));
-            });
-            for _ in 0..workers {
-                let result_tx = result_tx.clone();
-                let window_return_tx = window_return_tx.clone();
-                let job_rx = Arc::clone(&job_rx);
-                let arena_return_rx = &arena_return_rx;
-                scope.spawn(move || {
-                    let mut state = WorkerState::new(self.cfg);
-                    loop {
-                        // Sibling panics are caught inside `process_caught`
-                        // and can never poison these locks mid-update; a
-                        // poisoned flag carries no torn state, so recover
-                        // the guard rather than cascade the panic.
-                        let job = job_rx.lock().unwrap_or_else(PoisonError::into_inner).recv();
-                        let Ok((window_id, window)) = job else { break };
-                        if !state.arena.has_storage() {
-                            let returned = arena_return_rx
-                                .lock()
-                                .unwrap_or_else(PoisonError::into_inner)
-                                .try_recv();
-                            if let Ok(returned) = returned {
-                                state.arena = returned;
-                            }
-                        }
-                        let result =
-                            self.process_caught(&mut state, reference, score, window_id, &window);
-                        // Hand the drained window buffer back to the feeder
-                        // (it may already have shut down, or — were the
-                        // ring-capacity accounting ever wrong — the ring
-                        // could be full; both just drop the buffer).
-                        let _ = window_return_tx.try_send(window);
-                        if result_tx.send(StreamResult { window: window_id, result }).is_err() {
-                            break; // the delivery side is gone: drain-and-stop
-                        }
-                    }
-                });
-            }
-            drop(result_tx); // the workers hold the remaining clones
-            drop(window_return_tx);
-
-            // Reorder completed windows into arrival order. A window can
-            // only wait on predecessors still in flight, so the ring
-            // capacity covers every pipeline stage.
-            let delivery = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                let mut ring = ReorderRing::new(buffer + workers + result_cap + 1);
-                for result in result_rx.iter() {
-                    crate::fault::failpoint("stream.reorder");
-                    ring.insert(result);
-                    while let Some(ready) = ring.pop_ready() {
-                        summary.tally(&ready.result);
-                        if let Some(explanation) = sink(ready) {
-                            if matches!(
-                                crate::fault::failpoint("stream.arena_return"),
-                                Some(crate::fault::Fault::Error)
-                            ) {
-                                continue; // injected loss: drop, don't return
-                            }
-                            let _ = arena_return_tx
-                                .try_send(ExplanationArena::recycled_from(explanation));
-                        }
-                    }
-                }
-                debug_assert!(ring.is_empty(), "every window must be delivered");
-            }));
-            if let Err(payload) = delivery {
-                sink_panic = Some(payload);
-            }
-            // Shut the pipeline down (idempotent on the normal path, where
-            // every thread has already exited): without a result receiver
-            // workers stop at their next send, and dropping the last job
-            // receiver handle unblocks a feeder waiting on a full buffer.
-            drop(result_rx);
-            drop(job_rx);
-        });
-        if let Some(payload) = sink_panic {
-            std::panic::resume_unwind(payload);
-        }
-        summary
+        preferences: WindowPreferences<'_>,
+        feed: impl FnMut(Option<H>) -> Option<H>,
+        sink: impl FnMut(usize, Result<WindowReport, MocheError>) -> Option<WindowReport>,
+    ) -> StreamSummary {
+        let kernel = || StreamKernel {
+            kernel: ExplainKernel::new(self.cfg, Reference::Indexed(reference), preferences),
+            index: reference,
+            mode: self.mode,
+        };
+        self.pipeline.run(None, kernel, feed, sink)
     }
 }
 
-impl StreamSummary {
-    fn tally(&mut self, result: &Result<WindowReport, MocheError>) {
-        self.windows += 1;
-        match result {
-            Ok(_) => self.explained += 1,
-            Err(MocheError::TestAlreadyPasses { .. }) => self.passing += 1,
-            Err(MocheError::WorkerPanicked { .. }) => {
-                self.errors += 1;
-                self.panics += 1;
-            }
-            Err(_) => self.errors += 1,
-        }
+/// A sink that lends each result to `on_result`, then hands the output
+/// back for reclaiming.
+fn lend(
+    mut on_result: impl FnMut(&StreamResult),
+) -> impl FnMut(usize, Result<WindowReport, MocheError>) -> Option<WindowReport> {
+    move |window, result| {
+        let delivered = StreamResult { window, result };
+        on_result(&delivered);
+        delivered.result.ok()
     }
 }
 
@@ -731,6 +312,7 @@ mod tests {
     use super::*;
     use crate::base_vector::SortedReference;
     use crate::batch::BatchExplainer;
+    use crate::preference::PreferenceList;
 
     fn setup(count: usize) -> (Vec<f64>, Vec<Vec<f64>>) {
         let reference: Vec<f64> = (0..200u32).map(|i| f64::from(i % 10)).collect();
@@ -752,7 +334,7 @@ mod tests {
 
     /// A slice-backed [`WindowSource`] that copies each window into the
     /// recycled buffer — the zero-allocation producer shape.
-    fn slice_source(windows: &[Vec<f64>]) -> impl WindowSource + Send + '_ {
+    fn slice_source(windows: &[Vec<f64>]) -> impl WindowSource + '_ {
         let mut i = 0usize;
         move |buf: &mut Vec<f64>| {
             let Some(w) = windows.get(i) else { return false };
@@ -1003,10 +585,9 @@ mod tests {
 
     #[test]
     fn sink_panic_shuts_the_pipeline_down_and_resurfaces() {
-        // A panicking result callback must neither deadlock the pipeline
-        // (workers blocked on a full result channel, feeder on a full job
-        // buffer) nor be swallowed: the run winds down and the panic
-        // reaches the caller.
+        // A panicking result callback must neither strand the workers nor
+        // be swallowed: the run winds down and the panic reaches the
+        // caller.
         let (r, windows) = setup(40);
         let index = ReferenceIndex::new(&r).unwrap();
         for threads in [1, 3] {
@@ -1026,29 +607,31 @@ mod tests {
 
     #[test]
     fn panicking_source_ends_a_parallel_stream_early() {
-        // In parallel mode the source runs on the feeder thread; a panic
-        // there is contained as end-of-stream so the windows already fed
+        // The source is caller code; a panic there is contained as
+        // end-of-stream at every thread count, so the windows already fed
         // are still explained and delivered in order.
         let (r, windows) = setup(6);
         let index = ReferenceIndex::new(&r).unwrap();
-        let mut fed = 0usize;
-        let source = |buf: &mut Vec<f64>| {
-            if fed == 3 {
-                panic!("source bug after 3 windows");
-            }
-            buf.clear();
-            buf.extend_from_slice(&windows[fed]);
-            fed += 1;
-            true
-        };
-        let streamer = StreamingBatchExplainer::new(0.05).unwrap().threads(3).buffer(2);
-        let mut got = Vec::new();
-        let summary = streamer.explain_source(&index, source, None, |r| {
-            got.push(r.window);
-        });
-        assert_eq!(summary.windows, 3, "exactly the windows fed before the panic");
-        assert_eq!(summary.explained, 3);
-        assert_eq!(got, vec![0, 1, 2]);
+        for threads in [1, 3] {
+            let mut fed = 0usize;
+            let source = |buf: &mut Vec<f64>| {
+                if fed == 3 {
+                    panic!("source bug after 3 windows");
+                }
+                buf.clear();
+                buf.extend_from_slice(&windows[fed]);
+                fed += 1;
+                true
+            };
+            let streamer = StreamingBatchExplainer::new(0.05).unwrap().threads(threads).buffer(2);
+            let mut got = Vec::new();
+            let summary = streamer.explain_source(&index, source, None, |r| {
+                got.push(r.window);
+            });
+            assert_eq!(summary.windows, 3, "exactly the windows fed before the panic");
+            assert_eq!(summary.explained, 3);
+            assert_eq!(got, vec![0, 1, 2], "threads = {threads}");
+        }
     }
 
     #[test]
@@ -1066,37 +649,5 @@ mod tests {
             |_: &StreamResult| panic!("no results expected"),
         );
         assert_eq!(summary.windows, 0);
-    }
-
-    #[test]
-    fn reorder_ring_delivers_any_arrival_order() {
-        let result = |w: usize| StreamResult { window: w, result: Err(MocheError::EmptyTest) };
-        let mut ring = ReorderRing::new(4);
-        let mut delivered = Vec::new();
-        for w in [2usize, 0, 3, 1, 4, 6, 5] {
-            ring.insert(result(w));
-            while let Some(r) = ring.pop_ready() {
-                delivered.push(r.window);
-            }
-        }
-        assert_eq!(delivered, vec![0, 1, 2, 3, 4, 5, 6]);
-        assert!(ring.is_empty());
-    }
-
-    #[test]
-    fn reorder_ring_grows_past_its_capacity() {
-        // Deliberately exceed the declared capacity: the ring must regrow
-        // rather than clobber or panic.
-        let result = |w: usize| StreamResult { window: w, result: Err(MocheError::EmptyTest) };
-        let mut ring = ReorderRing::new(2);
-        let mut delivered = Vec::new();
-        for w in (1..10).chain([0]) {
-            ring.insert(result(w));
-            while let Some(r) = ring.pop_ready() {
-                delivered.push(r.window);
-            }
-        }
-        assert_eq!(delivered, (0..10).collect::<Vec<_>>());
-        assert!(ring.is_empty());
     }
 }

@@ -9,8 +9,8 @@
 //!   losing windows that were already fed;
 //! * a delivery-side panic shuts the pipeline down cleanly and resurfaces
 //!   to the caller;
-//! * a lost arena-return channel degrades to extra allocations, never to
-//!   wrong output.
+//! * dropped output reclaims degrade to extra allocations, never to wrong
+//!   output.
 //!
 //! The registry is process-global, so every scenario runs as a sequential
 //! phase of one `#[test]` — parallel test threads would race on the armed
@@ -63,7 +63,7 @@ fn injected_faults_are_contained() {
     feeder_error_ends_the_stream_in_order(&index, &windows, &stream_clean);
     feeder_panic_is_contained_as_end_of_stream(&index, &windows, &stream_clean);
     delivery_panic_resurfaces_after_clean_shutdown(&index, &windows);
-    lost_arena_returns_degrade_without_changing_output(&index, &windows, &stream_clean);
+    dropped_reclaims_degrade_without_changing_output(&index, &windows, &stream_clean);
 }
 
 /// Acceptance criterion: a panic injected at window `k` of a batch run
@@ -76,17 +76,17 @@ fn batch_worker_panic_hits_only_window_k(
     let k = 5;
     // Sequential execution visits windows in order, so skipping `k` hits
     // targets exactly window `k`.
-    fault::arm("batch.worker", Fault::Panic, k, 1);
+    fault::arm("pipeline.worker", Fault::Panic, k, 1);
     let results =
         BatchExplainer::new(0.05).unwrap().threads(1).explain_windows(shared, windows, None);
-    fault::disarm("batch.worker");
+    fault::disarm("pipeline.worker");
 
     for (i, (got, want)) in results.iter().zip(clean).enumerate() {
         if i == k {
             match got {
                 Err(MocheError::WorkerPanicked { window, message }) => {
                     assert_eq!(*window, k);
-                    assert!(message.contains("batch.worker"), "message: {message}");
+                    assert!(message.contains("pipeline.worker"), "message: {message}");
                 }
                 other => panic!("window {k} must report the injected panic, got {other:?}"),
             }
@@ -104,10 +104,10 @@ fn batch_parallel_worker_panic_hits_exactly_one_window(
     windows: &[Vec<f64>],
     clean: &[Result<moche_core::Explanation, MocheError>],
 ) {
-    fault::arm("batch.worker", Fault::Panic, 0, 1);
+    fault::arm("pipeline.worker", Fault::Panic, 0, 1);
     let results =
         BatchExplainer::new(0.05).unwrap().threads(4).explain_windows(shared, windows, None);
-    fault::disarm("batch.worker");
+    fault::disarm("pipeline.worker");
 
     let mut panicked = 0usize;
     for (i, (got, want)) in results.iter().zip(clean).enumerate() {
@@ -128,11 +128,11 @@ fn stream_worker_panic_hits_only_window_k(
     clean: &[StreamResult],
 ) {
     let k = 7;
-    fault::arm("stream.worker", Fault::Panic, k, 1);
+    fault::arm("pipeline.worker", Fault::Panic, k, 1);
     let streamer = StreamingBatchExplainer::new(0.05).unwrap().threads(1).buffer(2);
     let mut results = Vec::new();
     let summary = streamer.explain_stream(index, windows.to_vec(), None, |r| results.push(r));
-    fault::disarm("stream.worker");
+    fault::disarm("pipeline.worker");
 
     assert_eq!(summary.windows, windows.len());
     assert_eq!(summary.panics, 1);
@@ -143,7 +143,7 @@ fn stream_worker_panic_hits_only_window_k(
             match &got.result {
                 Err(MocheError::WorkerPanicked { window, message }) => {
                     assert_eq!(*window, k);
-                    assert!(message.contains("stream.worker"), "message: {message}");
+                    assert!(message.contains("pipeline.worker"), "message: {message}");
                 }
                 other => panic!("window {k} must report the injected panic, got {other:?}"),
             }
@@ -163,11 +163,11 @@ fn feeder_error_ends_the_stream_in_order(
 ) {
     let fed = 4;
     for threads in [1usize, 3] {
-        fault::arm("stream.feeder", Fault::Error, fed, usize::MAX);
+        fault::arm("pipeline.feeder", Fault::Error, fed, usize::MAX);
         let streamer = StreamingBatchExplainer::new(0.05).unwrap().threads(threads).buffer(2);
         let mut results = Vec::new();
         let summary = streamer.explain_stream(index, windows.to_vec(), None, |r| results.push(r));
-        fault::disarm("stream.feeder");
+        fault::disarm("pipeline.feeder");
 
         assert_eq!(summary.windows, fed, "threads = {threads}");
         assert_eq!(results.len(), fed);
@@ -176,22 +176,25 @@ fn feeder_error_ends_the_stream_in_order(
 }
 
 /// A *panicking* feeder (the source closure is caller code) is contained
-/// by the parallel pipeline as end-of-stream rather than tearing down the
-/// scope: every window fed before the panic is still delivered in order.
+/// as end-of-stream rather than tearing down the run, on the sequential and
+/// the parallel path alike: every window fed before the panic is still
+/// delivered in order.
 fn feeder_panic_is_contained_as_end_of_stream(
     index: &ReferenceIndex,
     windows: &[Vec<f64>],
     clean: &[StreamResult],
 ) {
     let fed = 6;
-    fault::arm("stream.feeder", Fault::Panic, fed, 1);
-    let streamer = StreamingBatchExplainer::new(0.05).unwrap().threads(3).buffer(2);
-    let mut results = Vec::new();
-    let summary = streamer.explain_stream(index, windows.to_vec(), None, |r| results.push(r));
-    fault::disarm("stream.feeder");
+    for threads in [1usize, 3] {
+        fault::arm("pipeline.feeder", Fault::Panic, fed, 1);
+        let streamer = StreamingBatchExplainer::new(0.05).unwrap().threads(threads).buffer(2);
+        let mut results = Vec::new();
+        let summary = streamer.explain_stream(index, windows.to_vec(), None, |r| results.push(r));
+        fault::disarm("pipeline.feeder");
 
-    assert_eq!(summary.windows, fed);
-    assert_eq!(results, clean[..fed]);
+        assert_eq!(summary.windows, fed, "threads = {threads}");
+        assert_eq!(results, clean[..fed], "threads = {threads}");
+    }
 }
 
 /// A panic on the delivery side (reorder ring / caller's sink) cannot be
@@ -199,28 +202,29 @@ fn feeder_panic_is_contained_as_end_of_stream(
 /// feeder or the workers either: the pipeline winds down every thread,
 /// then re-raises the payload.
 fn delivery_panic_resurfaces_after_clean_shutdown(index: &ReferenceIndex, windows: &[Vec<f64>]) {
-    fault::arm("stream.reorder", Fault::Panic, 3, 1);
+    fault::arm("pipeline.reorder", Fault::Panic, 3, 1);
     let streamer = StreamingBatchExplainer::new(0.05).unwrap().threads(3).buffer(2);
     let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         streamer.explain_stream(index, windows.to_vec(), None, |_| {});
     }));
-    fault::disarm("stream.reorder");
+    fault::disarm("pipeline.reorder");
 
     let payload = outcome.expect_err("the delivery panic must reach the caller");
     let message = fault::panic_message(payload.as_ref());
-    assert!(message.contains("stream.reorder"), "message: {message}");
+    assert!(message.contains("pipeline.reorder"), "message: {message}");
     // Reaching this line at all is the liveness half of the assertion:
     // the thread scope joined instead of deadlocking on full channels.
 }
 
-/// Dropping every arena instead of returning it to the workers costs
-/// allocations, not correctness: output must be bit-identical.
-fn lost_arena_returns_degrade_without_changing_output(
+/// Dropping every consumed output instead of handing it back to the
+/// workers' arenas costs allocations, not correctness: output must be
+/// bit-identical.
+fn dropped_reclaims_degrade_without_changing_output(
     index: &ReferenceIndex,
     windows: &[Vec<f64>],
     clean: &[StreamResult],
 ) {
-    fault::arm("stream.arena_return", Fault::Error, 0, usize::MAX);
+    fault::arm("pipeline.reclaim", Fault::Error, 0, usize::MAX);
     let streamer = StreamingBatchExplainer::new(0.05).unwrap().threads(3).buffer(2);
     let mut results = Vec::new();
     let summary = streamer.explain_source(
@@ -238,7 +242,7 @@ fn lost_arena_returns_degrade_without_changing_output(
         None,
         |r| results.push(r.clone()),
     );
-    fault::disarm("stream.arena_return");
+    fault::disarm("pipeline.reclaim");
 
     assert_eq!(summary.windows, windows.len());
     assert_eq!(results, clean);

@@ -5,7 +5,7 @@
 //! same outcomes.
 
 use moche_core::base_vector::BaseVector;
-use moche_core::batch::{BatchExplainer, BatchJob};
+use moche_core::batch::BatchExplainer;
 use moche_core::ks::KsConfig;
 use moche_core::moche::{ConstructionStrategy, Moche};
 use moche_core::preference::PreferenceList;
@@ -69,7 +69,7 @@ proptest! {
     }
 
     #[test]
-    fn batch_jobs_are_byte_identical_to_reference(
+    fn batch_windows_are_byte_identical_to_reference(
         (r, t) in small_instance(),
         alpha in alphas(),
         seed in 0u64..1000,
@@ -86,14 +86,9 @@ proptest! {
         let prefs: Vec<PreferenceList> = (0..windows.len() as u64)
             .map(|i| PreferenceList::random(t.len(), seed ^ i))
             .collect();
-        let jobs: Vec<BatchJob<'_>> = windows
-            .iter()
-            .zip(&prefs)
-            .map(|(w, p)| BatchJob { reference: &r, test: w, preference: Some(p) })
-            .collect();
-
+        let shared = SortedReference::new(&r).unwrap();
         let batch = BatchExplainer::new(alpha).unwrap().threads(3);
-        let results = batch.explain_jobs(&jobs);
+        let results = batch.explain_windows(&shared, &windows, Some(&prefs));
 
         let reference = Moche::new(alpha).unwrap().construction(ConstructionStrategy::Reference);
         for ((w, p), result) in windows.iter().zip(&prefs).zip(&results) {

@@ -1,13 +1,8 @@
-//! Parallel batch explanation of 2-D windows — the multidimensional
-//! counterpart of `moche_core::BatchExplainer`.
-//!
-//! One immutable [`RankIndex2d`] is shared read-only across a scoped worker
-//! pool; each worker owns a warm [`Explain2dEngine`] reused for every
-//! window it claims from an atomic cursor. Per-window failures (validation
-//! errors, already-passing windows, even worker panics) are isolated to
-//! their own result slot: a panic is caught, reported as
-//! [`MocheError::WorkerPanicked`], the engine is rebuilt, and the worker
-//! moves on.
+//! Parallel batch explanation of 2-D windows — the front end of
+//! `moche_core::pipeline` beside `moche_core::BatchExplainer`. Every worker
+//! owns a 2-D kernel (a warm [`Explain2dEngine`] and an output arena)
+//! over one shared [`RankIndex2d`]; per-window failures, panics included,
+//! stay in their own result slot.
 //!
 //! ```
 //! use moche_multidim::{Batch2dExplainer, Point2, RankIndex2d};
@@ -25,22 +20,70 @@
 //! assert!(results.iter().all(|r| r.is_ok()));
 //! ```
 
-use crate::engine2d::Explain2dEngine;
+use crate::engine2d::{Explain2dEngine, Explanation2dArena};
 use crate::explain2d::Explanation2d;
 use crate::ks2d::Ks2dConfig;
 use crate::point2::Point2;
 use crate::rank_index::RankIndex2d;
-use moche_core::{fault, MocheError, PreferenceList};
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Mutex, PoisonError};
+use crate::stream2d::Score2dFn;
+use moche_core::pipeline::{Pipeline, WindowKernel};
+use moche_core::{MocheError, PreferenceList};
+
+/// The 2-D [`WindowKernel`]: a warm engine and an output arena per worker,
+/// with the window's preference taken from a per-window list or a score
+/// callback (identity when neither is given).
+pub(crate) struct Kernel2d<'a> {
+    engine: Explain2dEngine,
+    arena: Explanation2dArena,
+    index: &'a RankIndex2d,
+    per_window: Option<&'a [PreferenceList]>,
+    score: Option<Score2dFn<'a>>,
+}
+
+impl<'a> Kernel2d<'a> {
+    pub(crate) fn new(
+        cfg: Ks2dConfig,
+        index: &'a RankIndex2d,
+        per_window: Option<&'a [PreferenceList]>,
+        score: Option<Score2dFn<'a>>,
+    ) -> Self {
+        let (engine, arena) = (Explain2dEngine::with_config(cfg), Explanation2dArena::new());
+        Self { engine, arena, index, per_window, score }
+    }
+}
+
+impl WindowKernel for Kernel2d<'_> {
+    type Point = Point2;
+    type Output = Explanation2d;
+
+    fn process(
+        &mut self,
+        window_id: usize,
+        window: &[Point2],
+    ) -> Result<Explanation2d, MocheError> {
+        let owned;
+        let preference = match (self.per_window, self.score) {
+            (Some(lists), _) => Some(&lists[window_id]),
+            (None, Some(score)) => {
+                owned = score(window_id, window)?;
+                Some(&owned)
+            }
+            (None, None) => None,
+        };
+        self.engine.explain_in(self.index, window, preference, &mut self.arena)
+    }
+
+    fn reclaim(&mut self, explanation: Explanation2d) {
+        self.arena.recycle(explanation);
+    }
+}
 
 /// A thread-pooled explainer for batches of 2-D windows against one shared
 /// reference index.
 #[derive(Debug, Clone)]
 pub struct Batch2dExplainer {
     cfg: Ks2dConfig,
-    threads: usize,
+    pipeline: Pipeline,
 }
 
 impl Batch2dExplainer {
@@ -56,13 +99,13 @@ impl Batch2dExplainer {
 
     /// Creates a batch explainer from an existing configuration.
     pub fn with_config(cfg: Ks2dConfig) -> Self {
-        Self { cfg, threads: 0 }
+        Self { cfg, pipeline: Pipeline::default() }
     }
 
     /// Caps the worker count (0 = use all available cores).
     #[must_use]
     pub fn threads(mut self, threads: usize) -> Self {
-        self.threads = threads;
+        self.pipeline.threads = threads;
         self
     }
 
@@ -73,13 +116,7 @@ impl Batch2dExplainer {
 
     /// The number of worker threads a batch of `jobs` windows would use.
     pub fn effective_threads(&self, jobs: usize) -> usize {
-        self.worker_count(jobs)
-    }
-
-    fn worker_count(&self, jobs: usize) -> usize {
-        let hw = std::thread::available_parallelism().map_or(1, |n| n.get());
-        let cap = if self.threads == 0 { hw } else { self.threads };
-        cap.min(jobs).max(1)
+        self.pipeline.workers(Some(jobs))
     }
 
     /// Explains every window against the shared index. Results keep the
@@ -95,90 +132,8 @@ impl Batch2dExplainer {
         windows: &[W],
         preferences: Option<&[PreferenceList]>,
     ) -> Vec<Result<Explanation2d, MocheError>> {
-        if let Some(prefs) = preferences {
-            if prefs.len() != windows.len() {
-                let err = MocheError::PreferenceCountMismatch {
-                    windows: windows.len(),
-                    preferences: prefs.len(),
-                };
-                return windows.iter().map(|_| Err(err.clone())).collect();
-            }
-        }
-        self.run(windows.len(), |engine, i| {
-            engine.explain(index, windows[i].as_ref(), preferences.map(|p| &p[i]))
-        })
-    }
-
-    fn run<F>(&self, jobs: usize, f: F) -> Vec<Result<Explanation2d, MocheError>>
-    where
-        F: Fn(&mut Explain2dEngine, usize) -> Result<Explanation2d, MocheError> + Sync,
-    {
-        let workers = self.worker_count(jobs);
-        if workers <= 1 {
-            let mut engine = Explain2dEngine::with_config(self.cfg);
-            return (0..jobs).map(|i| self.run_one(&mut engine, &f, i)).collect();
-        }
-
-        let next = AtomicUsize::new(0);
-        let slots: Vec<Mutex<Option<Result<Explanation2d, MocheError>>>> =
-            (0..jobs).map(|_| Mutex::new(None)).collect();
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| {
-                    let mut engine = Explain2dEngine::with_config(self.cfg);
-                    loop {
-                        // lint:allow(relaxed): work-claim index — the RMW's
-                        // atomicity alone partitions jobs; job inputs are
-                        // published by the scoped-thread spawn, not this add.
-                        // lint:allow(relaxed): monotonic stats counter; no cross-thread handoff rides on it
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= jobs {
-                            break;
-                        }
-                        let result = self.run_one(&mut engine, &f, i);
-                        *slots[i].lock().unwrap_or_else(PoisonError::into_inner) = Some(result);
-                    }
-                });
-            }
-        });
-        slots
-            .into_iter()
-            .enumerate()
-            .map(|(i, slot)| {
-                slot.into_inner().unwrap_or_else(PoisonError::into_inner).unwrap_or_else(|| {
-                    Err(MocheError::WorkerPanicked {
-                        window: i,
-                        message: "result slot was never filled".to_string(),
-                    })
-                })
-            })
-            .collect()
-    }
-
-    fn run_one<F>(
-        &self,
-        engine: &mut Explain2dEngine,
-        f: &F,
-        i: usize,
-    ) -> Result<Explanation2d, MocheError>
-    where
-        F: Fn(&mut Explain2dEngine, usize) -> Result<Explanation2d, MocheError>,
-    {
-        let attempt = catch_unwind(AssertUnwindSafe(|| {
-            fault::failpoint("batch2d.worker");
-            f(engine, i)
-        }));
-        match attempt {
-            Ok(result) => result,
-            Err(payload) => {
-                // The engine's scratch may be mid-descent; rebuild it.
-                *engine = Explain2dEngine::with_config(self.cfg);
-                Err(MocheError::WorkerPanicked {
-                    window: i,
-                    message: fault::panic_message(payload.as_ref()),
-                })
-            }
-        }
+        let count = preferences.map(<[PreferenceList]>::len);
+        self.pipeline.collect(windows, count, || Kernel2d::new(self.cfg, index, preferences, None))
     }
 }
 

@@ -22,9 +22,9 @@
 //!   analogue of `moche_core::MocheEngine` + `ExplanationArena`: a warm
 //!   engine/arena pair explains a window with zero marginal heap
 //!   allocations and byte-identical output to [`GreedyImpact2d`].
-//! * [`batch2d`] / [`stream2d`] — worker-pool batch and bounded-memory
-//!   streaming drivers over shared indexes, with the same per-window error
-//!   isolation and in-order delivery contracts as the 1-D pipeline.
+//! * [`batch2d`] / [`stream2d`] — batch and bounded-memory streaming front
+//!   ends of `moche_core::pipeline` over shared indexes: the same worker
+//!   pipeline, per-window error isolation and in-order delivery as 1-D.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -43,4 +43,4 @@ pub use explain2d::{Explanation2d, GreedyImpact2d, GreedyPrefix2d};
 pub use ks2d::{ks2d_statistic, ks2d_test, pearson_r, Ks2dConfig, Ks2dOutcome};
 pub use point2::{points_from_xy, Point2};
 pub use rank_index::{ks2d_statistic_indexed, RankIndex2d, Scratch2d};
-pub use stream2d::{Score2dFn, Stream2dExplainer, Stream2dResult, Stream2dSummary, Window2dSource};
+pub use stream2d::{Score2dFn, Stream2dExplainer, Stream2dResult, Window2dSource};

@@ -1,12 +1,8 @@
-//! Streaming 2-D explanation — bounded-memory window processing with
-//! in-order delivery, mirroring `moche_core::StreamingBatchExplainer`.
-//!
-//! A feeder thread (the caller) pulls windows from a [`Window2dSource`]
-//! and hands them to a scoped worker pool over a recycled buffer pool, so
-//! only `O(workers + buffer)` windows are in memory at a time regardless of
-//! stream length. Results are re-ordered and delivered to the sink in
-//! window order; worker panics are isolated per window exactly as in
-//! [`Batch2dExplainer`](crate::batch2d::Batch2dExplainer).
+//! Streaming 2-D explanation — the bounded-memory front end of
+//! `moche_core::pipeline` beside `moche_core::StreamingBatchExplainer`.
+//! Windows are refilled into recycled buffers from a [`Window2dSource`],
+//! consumed explanations return to the workers' arenas, results arrive in
+//! window order, and the run is summarized in core's [`StreamSummary`].
 //!
 //! ```
 //! use moche_multidim::{Point2, RankIndex2d, Stream2dExplainer};
@@ -24,27 +20,18 @@
 //!     window.extend((0..25).map(|i| Point2::new(f64::from(i) + 60.0, 60.0)));
 //!     true
 //! };
-//! let summary = Stream2dExplainer::new(0.05).unwrap().threads(1).explain_source(
-//!     &index,
-//!     source,
-//!     None,
-//!     |result| assert!(result.result.is_ok()),
-//! );
-//! assert_eq!(summary.windows, 3);
-//! assert_eq!(summary.explained, 3);
+//! let streamer = Stream2dExplainer::new(0.05).unwrap().threads(1);
+//! let summary = streamer.explain_source(&index, source, None, |r| assert!(r.result.is_ok()));
+//! assert_eq!((summary.windows, summary.explained), (3, 3));
 //! ```
 
-use crate::engine2d::Explain2dEngine;
+use crate::batch2d::Kernel2d;
 use crate::explain2d::Explanation2d;
 use crate::ks2d::Ks2dConfig;
 use crate::point2::Point2;
 use crate::rank_index::RankIndex2d;
-use moche_core::fault::{self, Fault};
-use moche_core::{MocheError, PreferenceList};
-use std::collections::BTreeMap;
-use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::mpsc;
-use std::sync::{Arc, Mutex, PoisonError};
+use moche_core::pipeline::{refill, Pipeline};
+use moche_core::{MocheError, PreferenceList, StreamSummary};
 
 /// A pull source of 2-D windows: fill the (cleared) buffer and return
 /// `true`, or return `false` to end the stream.
@@ -74,45 +61,12 @@ pub struct Stream2dResult {
     pub result: Result<Explanation2d, MocheError>,
 }
 
-/// Aggregate accounting of a streaming run.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct Stream2dSummary {
-    /// Windows pulled from the source.
-    pub windows: usize,
-    /// Windows that produced an explanation.
-    pub explained: usize,
-    /// Windows that already passed the test (nothing to explain).
-    pub passing: usize,
-    /// Windows that failed, including panics.
-    pub errors: usize,
-    /// The subset of `errors` caused by isolated worker panics.
-    pub panics: usize,
-    /// Worker threads used.
-    pub threads: usize,
-}
-
-impl Stream2dSummary {
-    fn tally(&mut self, result: &Result<Explanation2d, MocheError>) {
-        self.windows += 1;
-        match result {
-            Ok(_) => self.explained += 1,
-            Err(MocheError::TestAlreadyPasses { .. }) => self.passing += 1,
-            Err(MocheError::WorkerPanicked { .. }) => {
-                self.errors += 1;
-                self.panics += 1;
-            }
-            Err(_) => self.errors += 1,
-        }
-    }
-}
-
 /// A streaming explainer for unbounded sequences of 2-D windows against one
 /// shared reference index.
 #[derive(Debug, Clone)]
 pub struct Stream2dExplainer {
     cfg: Ks2dConfig,
-    threads: usize,
-    buffer: usize,
+    pipeline: Pipeline,
 }
 
 impl Stream2dExplainer {
@@ -127,28 +81,27 @@ impl Stream2dExplainer {
 
     /// Creates a streaming explainer from an existing configuration.
     pub fn with_config(cfg: Ks2dConfig) -> Self {
-        Self { cfg, threads: 0, buffer: 0 }
+        Self { cfg, pipeline: Pipeline::default() }
     }
 
     /// Caps the worker count (0 = use all available cores).
     #[must_use]
     pub fn threads(mut self, threads: usize) -> Self {
-        self.threads = threads;
+        self.pipeline.threads = threads;
         self
     }
 
-    /// Caps the number of windows in flight (0 = `2 × workers`).
+    /// Bounds the windows queued ahead of the workers (0 =
+    /// `max(2 × workers, 4)`).
     #[must_use]
     pub fn buffer(mut self, buffer: usize) -> Self {
-        self.buffer = buffer;
+        self.pipeline.buffer = buffer;
         self
     }
 
     /// The worker count a run would use.
     pub fn effective_threads(&self) -> usize {
-        let hw = std::thread::available_parallelism().map_or(1, |n| n.get());
-        let cap = if self.threads == 0 { hw } else { self.threads };
-        cap.max(1)
+        self.pipeline.workers(None)
     }
 
     /// Drains `source`, delivering every window's result to `sink` in
@@ -162,152 +115,17 @@ impl Stream2dExplainer {
         mut source: S,
         preferences: Option<Score2dFn<'_>>,
         mut sink: impl FnMut(&Stream2dResult),
-    ) -> Stream2dSummary {
-        let workers = self.effective_threads();
-        let mut summary = Stream2dSummary { threads: workers, ..Default::default() };
-
-        if workers <= 1 {
-            let mut engine = Explain2dEngine::with_config(self.cfg);
-            let mut window: Vec<Point2> = Vec::new();
-            let mut w = 0usize;
-            loop {
-                window.clear();
-                let filled = catch_unwind(AssertUnwindSafe(|| {
-                    if fault::failpoint("stream2d.feeder") == Some(Fault::Error) {
-                        return false;
-                    }
-                    source.fill(&mut window)
-                }));
-                if !matches!(filled, Ok(true)) {
-                    break;
-                }
-                let result = run_one(&self.cfg, &mut engine, index, &window, w, preferences);
-                summary.tally(&result);
-                sink(&Stream2dResult { window: w, result });
-                w += 1;
-            }
-            return summary;
-        }
-
-        let in_flight_cap = if self.buffer == 0 { 2 * workers } else { self.buffer.max(1) };
-        let (job_tx, job_rx) = mpsc::channel::<(usize, Vec<Point2>)>();
-        let job_rx = Arc::new(Mutex::new(job_rx));
-        let (result_tx, result_rx) =
-            mpsc::channel::<(usize, Vec<Point2>, Result<Explanation2d, MocheError>)>();
-
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                let job_rx = Arc::clone(&job_rx);
-                let result_tx = result_tx.clone();
-                scope.spawn(move || {
-                    let mut engine = Explain2dEngine::with_config(self.cfg);
-                    loop {
-                        let job = job_rx.lock().unwrap_or_else(PoisonError::into_inner).recv();
-                        let (w, window) = match job {
-                            Ok(job) => job,
-                            Err(_) => break, // feeder hung up: drain complete
-                        };
-                        let result =
-                            run_one(&self.cfg, &mut engine, index, &window, w, preferences);
-                        if result_tx.send((w, window, result)).is_err() {
-                            break; // collector is gone (sink panic unwinding)
-                        }
-                    }
-                });
-            }
-            drop(result_tx); // workers hold the only remaining senders
-
-            // Feed and collect on this thread. A sink panic must not abandon
-            // the scope (that would deadlock on workers blocked in recv), so
-            // the loop is caught, the job channel is closed to stop the
-            // pool, and the payload is re-thrown after the scope joins.
-            let deliver = catch_unwind(AssertUnwindSafe(|| {
-                let mut free: Vec<Vec<Point2>> = Vec::new();
-                let mut pending: BTreeMap<usize, Result<Explanation2d, MocheError>> =
-                    BTreeMap::new();
-                let mut next_window = 0usize;
-                let mut next_delivery = 0usize;
-                let mut in_flight = 0usize;
-                let mut exhausted = false;
-                loop {
-                    while !exhausted && in_flight < in_flight_cap {
-                        let mut window = free.pop().unwrap_or_default();
-                        window.clear();
-                        let filled = catch_unwind(AssertUnwindSafe(|| {
-                            if fault::failpoint("stream2d.feeder") == Some(Fault::Error) {
-                                return false;
-                            }
-                            source.fill(&mut window)
-                        }));
-                        if !matches!(filled, Ok(true)) {
-                            exhausted = true;
-                            break;
-                        }
-                        if job_tx.send((next_window, window)).is_err() {
-                            exhausted = true;
-                            break;
-                        }
-                        next_window += 1;
-                        in_flight += 1;
-                    }
-                    if in_flight == 0 {
-                        break;
-                    }
-                    let (w, window, result) = match result_rx.recv() {
-                        Ok(delivered) => delivered,
-                        Err(_) => break,
-                    };
-                    free.push(window);
-                    in_flight -= 1;
-                    pending.insert(w, result);
-                    while let Some(result) = pending.remove(&next_delivery) {
-                        summary.tally(&result);
-                        sink(&Stream2dResult { window: next_delivery, result });
-                        next_delivery += 1;
-                    }
-                }
-            }));
-            drop(job_tx);
-            if let Err(payload) = deliver {
-                // Workers exit on the closed channel; scope join is safe.
-                resume_unwind(payload);
-            }
+    ) -> StreamSummary {
+        let kernel = || Kernel2d::new(self.cfg, index, None, preferences);
+        let feed = refill(|window: &mut Vec<Point2>| {
+            window.clear();
+            source.fill(window)
         });
-        summary
-    }
-}
-
-/// Executes one window with panic isolation and optional scoring; shared by
-/// the sequential and pooled paths.
-fn run_one(
-    cfg: &Ks2dConfig,
-    engine: &mut Explain2dEngine,
-    index: &RankIndex2d,
-    window: &[Point2],
-    w: usize,
-    preferences: Option<Score2dFn<'_>>,
-) -> Result<Explanation2d, MocheError> {
-    let attempt = catch_unwind(AssertUnwindSafe(|| {
-        fault::failpoint("stream2d.worker");
-        let stored;
-        let preference = match preferences {
-            Some(score) => {
-                stored = score(w, window)?;
-                Some(&stored)
-            }
-            None => None,
-        };
-        engine.explain(index, window, preference)
-    }));
-    match attempt {
-        Ok(result) => result,
-        Err(payload) => {
-            *engine = Explain2dEngine::with_config(*cfg);
-            Err(MocheError::WorkerPanicked {
-                window: w,
-                message: fault::panic_message(payload.as_ref()),
-            })
-        }
+        self.pipeline.run(None, kernel, feed, |window, result| {
+            let delivered = Stream2dResult { window, result };
+            sink(&delivered);
+            delivered.result.ok()
+        })
     }
 }
 
@@ -436,32 +254,55 @@ mod tests {
             None,
             |_| panic!("no windows, no deliveries"),
         );
-        assert_eq!(summary, Stream2dSummary { threads: 2, ..Default::default() });
+        assert_eq!(summary, StreamSummary { threads: 2, ..Default::default() });
     }
 
     #[test]
     fn panicking_source_ends_the_stream_early() {
         let r = grid(120, 0.0, 0.0);
         let index = RankIndex2d::new(&r).unwrap();
-        let all = windows(4);
-        let mut queue = all.into_iter();
-        let mut fed = 0usize;
-        let source = move |out: &mut Vec<Point2>| {
-            if fed == 2 {
-                panic!("source failed mid-stream");
-            }
-            fed += 1;
-            out.extend(queue.next().unwrap());
-            true
-        };
-        let mut delivered = 0usize;
-        let summary = Stream2dExplainer::new(0.05).unwrap().threads(2).explain_source(
-            &index,
-            source,
-            None,
-            |_| delivered += 1,
-        );
-        assert_eq!(summary.windows, 2, "the two windows fed before the panic");
-        assert_eq!(delivered, 2);
+        for threads in [1usize, 2] {
+            let mut queue = windows(4).into_iter();
+            let mut fed = 0usize;
+            let source = move |out: &mut Vec<Point2>| {
+                if fed == 2 {
+                    panic!("source failed mid-stream");
+                }
+                fed += 1;
+                out.extend(queue.next().unwrap());
+                true
+            };
+            let mut delivered = 0usize;
+            let summary = Stream2dExplainer::new(0.05).unwrap().threads(threads).explain_source(
+                &index,
+                source,
+                None,
+                |_| delivered += 1,
+            );
+            assert_eq!(summary.windows, 2, "the two windows fed before the panic");
+            assert_eq!(delivered, 2, "threads = {threads}");
+        }
+    }
+
+    #[test]
+    fn sink_panic_shuts_the_pipeline_down_and_resurfaces() {
+        // A panicking sink must neither deadlock the workers nor be
+        // swallowed: the run winds down and the panic reaches the caller.
+        let r = grid(120, 0.0, 0.0);
+        let index = RankIndex2d::new(&r).unwrap();
+        let all = windows(12);
+        for threads in [1usize, 3] {
+            let streamer = Stream2dExplainer::new(0.05).unwrap().threads(threads).buffer(2);
+            let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                streamer.explain_source(&index, vec_source(all.clone().into_iter()), None, |d| {
+                    if d.window == 5 {
+                        panic!("sink bug");
+                    }
+                });
+            }));
+            let payload = caught.expect_err("the sink panic must reach the caller");
+            let message = moche_core::fault::panic_message(payload.as_ref());
+            assert!(message.contains("sink bug"), "{message} (threads = {threads})");
+        }
     }
 }

@@ -69,17 +69,17 @@ fn batch2d_worker_panic_hits_only_window_k(
     clean: &[Result<Explanation2d, MocheError>],
 ) {
     let k = 4;
-    fault::arm("batch2d.worker", Fault::Panic, k, 1);
+    fault::arm("pipeline.worker", Fault::Panic, k, 1);
     let results =
         Batch2dExplainer::with_config(cfg).threads(1).explain_windows(index, windows, None);
-    fault::disarm("batch2d.worker");
+    fault::disarm("pipeline.worker");
 
     for (i, (got, want)) in results.iter().zip(clean).enumerate() {
         if i == k {
             match got {
                 Err(MocheError::WorkerPanicked { window, message }) => {
                     assert_eq!(*window, k);
-                    assert!(message.contains("batch2d.worker"), "message: {message}");
+                    assert!(message.contains("pipeline.worker"), "message: {message}");
                 }
                 other => panic!("window {k}: expected WorkerPanicked, got {other:?}"),
             }
@@ -101,10 +101,10 @@ fn batch2d_parallel_worker_panic_hits_exactly_one_window(
     windows: &[Vec<Point2>],
     clean: &[Result<Explanation2d, MocheError>],
 ) {
-    fault::arm("batch2d.worker", Fault::Panic, 3, 1);
+    fault::arm("pipeline.worker", Fault::Panic, 3, 1);
     let results =
         Batch2dExplainer::with_config(cfg).threads(4).explain_windows(index, windows, None);
-    fault::disarm("batch2d.worker");
+    fault::disarm("pipeline.worker");
 
     let mut panicked = 0usize;
     for (i, got) in results.iter().enumerate() {
@@ -129,7 +129,7 @@ fn stream2d_worker_panic_is_isolated_and_tallied(
     clean: &[Result<Explanation2d, MocheError>],
 ) {
     let k = 6;
-    fault::arm("stream2d.worker", Fault::Panic, k, 1);
+    fault::arm("pipeline.worker", Fault::Panic, k, 1);
     let mut seen: Vec<(usize, bool)> = Vec::new();
     let summary = Stream2dExplainer::with_config(cfg).threads(1).explain_source(
         index,
@@ -138,7 +138,7 @@ fn stream2d_worker_panic_is_isolated_and_tallied(
         |delivered| {
             if let Err(MocheError::WorkerPanicked { window, message }) = &delivered.result {
                 assert_eq!(*window, k);
-                assert!(message.contains("stream2d.worker"), "message: {message}");
+                assert!(message.contains("pipeline.worker"), "message: {message}");
             } else {
                 let want = clean[delivered.window].as_ref().unwrap();
                 assert_eq!(delivered.result.as_ref().unwrap().indices, want.indices);
@@ -146,7 +146,7 @@ fn stream2d_worker_panic_is_isolated_and_tallied(
             seen.push((delivered.window, delivered.result.is_ok()));
         },
     );
-    fault::disarm("stream2d.worker");
+    fault::disarm("pipeline.worker");
 
     assert_eq!(summary.windows, windows.len());
     assert_eq!(summary.panics, 1);
@@ -166,7 +166,7 @@ fn stream2d_feeder_error_ends_the_stream_in_order(
     clean: &[Result<Explanation2d, MocheError>],
 ) {
     let fed = 5;
-    fault::arm("stream2d.feeder", Fault::Error, fed, 1);
+    fault::arm("pipeline.feeder", Fault::Error, fed, 1);
     let mut delivered: Vec<usize> = Vec::new();
     let summary = Stream2dExplainer::with_config(cfg).threads(2).explain_source(
         index,
@@ -178,7 +178,7 @@ fn stream2d_feeder_error_ends_the_stream_in_order(
             delivered.push(result.window);
         },
     );
-    fault::disarm("stream2d.feeder");
+    fault::disarm("pipeline.feeder");
 
     assert_eq!(summary.windows, fed, "only the windows fed before the fault");
     assert_eq!(summary.explained, fed);
