@@ -6,8 +6,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use moche_core::{
-    BaseVector, BatchExplainer, KsConfig, ReferenceIndex, ReferenceMode, SortedReference,
-    StreamingBatchExplainer,
+    BatchExplainer, KsConfig, ReferenceIndex, SortedReference, StreamingBatchExplainer,
 };
 use moche_data::failing_kifer_pair;
 use std::hint::black_box;
@@ -50,46 +49,6 @@ fn bench_batch_throughput(c: &mut Criterion) {
                 })
             },
         );
-    }
-    group.finish();
-}
-
-/// Merged vs indexed per-window base-vector construction on the
-/// asymmetric monitoring workload (`n >> m`): the splice path replaces the
-/// per-element merge loop with chunk copies of the precomputed reference.
-fn bench_reference_modes(c: &mut Criterion) {
-    let cfg = KsConfig::new(0.05).unwrap();
-    let n = 100_000usize;
-    let m = 1_000usize;
-    let pair = failing_kifer_pair(m, 0.05, &cfg, 11, 100).expect("p = 5% fails at m = 1_000");
-    let reference: Vec<f64> =
-        (0..n).map(|i| pair.reference[i % m] + (i / m) as f64 * 1e-9).collect();
-    let shared = SortedReference::new(&reference).unwrap();
-    let index = ReferenceIndex::from_sorted(&shared);
-
-    let mut group = c.benchmark_group("base_vector_construction");
-    group.bench_function(BenchmarkId::new("merged", format!("n{n}_m{m}")), |b| {
-        b.iter(|| BaseVector::build_with_reference(black_box(&shared), &pair.test).unwrap())
-    });
-    group.bench_function(BenchmarkId::new("indexed", format!("n{n}_m{m}")), |b| {
-        b.iter(|| BaseVector::build_with_index(black_box(&index), &pair.test).unwrap())
-    });
-    group.finish();
-
-    // The end-to-end effect on the batch engine.
-    let (r, windows) = failing_windows(10_000, 32, &cfg);
-    let shared = SortedReference::new(&r).unwrap();
-    let mut group = c.benchmark_group("batch_reference_mode");
-    group.sample_size(10);
-    for (mode, tag) in [(ReferenceMode::Merged, "merged"), (ReferenceMode::Indexed, "indexed")] {
-        let explainer = BatchExplainer::with_config(cfg).threads(1).reference_mode(mode);
-        group.bench_function(BenchmarkId::new(tag, "32_windows_w10000"), |b| {
-            b.iter(|| {
-                let results = explainer.explain_windows(black_box(&shared), &windows, None);
-                assert!(results.iter().all(Result::is_ok));
-                results
-            })
-        });
     }
     group.finish();
 }
@@ -142,5 +101,5 @@ fn bench_streaming(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_batch_throughput, bench_reference_modes, bench_streaming);
+criterion_group!(benches, bench_batch_throughput, bench_streaming);
 criterion_main!(benches);

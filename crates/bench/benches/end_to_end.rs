@@ -12,7 +12,6 @@ use moche_baselines::{
 use moche_bench::runner::spectral_residual_preference;
 use moche_core::{
     ConstructionStrategy, ExplainEngine, ExplanationArena, KsConfig, Moche, ReferenceIndex,
-    SortedReference,
 };
 use moche_data::failing_kifer_pair;
 use moche_data::nab::generate_family;
@@ -70,9 +69,9 @@ fn bench_end_to_end(c: &mut Criterion) {
 }
 
 /// The allocating one-shot paths against the scratch-reusing engine at the
-/// scale the ROADMAP's monitoring workload runs at (`w = 10_000`). All four
+/// scale the ROADMAP's monitoring workload runs at (`w = 10_000`). All three
 /// produce byte-identical explanations; only the allocation behaviour and
-/// the shared-reference build differ.
+/// the base-vector build (merge vs indexed splice) differ.
 fn bench_engine_vs_oneshot(c: &mut Criterion) {
     let cfg = KsConfig::new(0.05).unwrap();
     let mut group = c.benchmark_group("end_to_end_engine");
@@ -86,7 +85,6 @@ fn bench_engine_vs_oneshot(c: &mut Criterion) {
             Moche::with_config(cfg).construction(ConstructionStrategy::Reference);
         let oneshot = Moche::with_config(cfg);
         let mut engine = ExplainEngine::with_config(cfg);
-        let shared = SortedReference::new(&pair.reference).unwrap();
 
         group.bench_with_input(BenchmarkId::new("moche_reference_alloc", w), &w, |b, _| {
             b.iter(|| {
@@ -96,15 +94,9 @@ fn bench_engine_vs_oneshot(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("moche_oneshot", w), &w, |b, _| {
             b.iter(|| oneshot.explain(black_box(&pair.reference), &pair.test, &pref).unwrap())
         });
-        group.bench_with_input(BenchmarkId::new("engine_reuse", w), &w, |b, _| {
-            b.iter(|| engine.explain(black_box(&pair.reference), &pair.test, &pref).unwrap())
-        });
-        group.bench_with_input(BenchmarkId::new("engine_shared_ref", w), &w, |b, _| {
-            b.iter(|| engine.explain_with_reference(black_box(&shared), &pair.test, &pref).unwrap())
-        });
         // The fully recycled steady state: indexed reference + output
         // arena. Zero heap allocations per iteration once warm.
-        let index = ReferenceIndex::from_sorted(&shared);
+        let index = ReferenceIndex::new(&pair.reference).unwrap();
         let mut arena = ExplanationArena::new();
         group.bench_with_input(BenchmarkId::new("engine_indexed_arena", w), &w, |b, _| {
             b.iter(|| {

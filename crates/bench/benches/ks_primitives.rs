@@ -6,7 +6,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use moche_core::base_vector::BaseVector;
 use moche_core::bounds::{BoundsContext, BoundsWorkspace};
-use moche_core::{ks_statistic, KsConfig, SortedReference};
+use moche_core::{ks_statistic, KsConfig};
 use moche_data::kifer_pair;
 use std::hint::black_box;
 
@@ -22,15 +22,6 @@ fn bench_primitives(c: &mut Criterion) {
 
         group.bench_with_input(BenchmarkId::new("base_vector_build", w), &w, |b, _| {
             b.iter(|| BaseVector::build(black_box(&pair.reference), black_box(&pair.test)).unwrap())
-        });
-
-        // Shared-reference fast path: the per-window build when R is
-        // already sorted and validated (the batch workload's inner loop).
-        let shared = SortedReference::new(&pair.reference).unwrap();
-        group.bench_with_input(BenchmarkId::new("base_vector_build_shared_ref", w), &w, |b, _| {
-            b.iter(|| {
-                BaseVector::build_with_reference(black_box(&shared), black_box(&pair.test)).unwrap()
-            })
         });
 
         let base = BaseVector::build(&pair.reference, &pair.test).unwrap();

@@ -178,22 +178,6 @@ pub fn evidence_suite(alloc_counter: Option<&dyn Fn() -> u64>) -> Vec<BenchRecor
         alloc_counter,
     ));
     let mut engine = ExplainEngine::with_config(cfg);
-    records.push(measure(
-        &format!("end_to_end/engine_reuse/w={w}"),
-        || {
-            black_box(engine.explain(black_box(&pair.reference), &pair.test, &pref).unwrap());
-        },
-        alloc_counter,
-    ));
-    records.push(measure(
-        &format!("end_to_end/engine_shared_ref/w={w}"),
-        || {
-            black_box(
-                engine.explain_with_reference(black_box(&shared), &pair.test, &pref).unwrap(),
-            );
-        },
-        alloc_counter,
-    ));
     // The fully recycled steady state: indexed reference + output arena.
     // Once warm, an explain performs zero heap allocations — the number
     // this entry gates.
@@ -214,39 +198,31 @@ pub fn evidence_suite(alloc_counter: Option<&dyn Fn() -> u64>) -> Vec<BenchRecor
     ));
 
     // The asymmetric construction workload: one large indexed reference,
-    // small windows — the regime where the ReferenceIndex splice beats the
-    // per-element merge loop. `build_with_reference` (not `build`) is the
-    // merged side, so the comparison isolates construction, not sorting.
+    // small windows — the regime the ReferenceIndex splice exists for. The
+    // splice writes into recycled output buffers, so the per-window cost
+    // drops to the actual construction work; the sort buffer is fresh per
+    // call (1 allocation), as this entry has always measured.
     let big_n = 100_000usize;
     let small_m = 1_000usize;
     eprintln!("[bench-json] base-vector construction (n = {big_n}, m = {small_m})...");
     let mut rng = rng_from_seed(42);
     let big_ref: Vec<f64> = (0..big_n).map(|_| normal(&mut rng, 0.0, 1.0)).collect();
     let window: Vec<f64> = (0..small_m).map(|_| normal(&mut rng, 0.5, 1.2)).collect();
-    let big_shared = SortedReference::new(&big_ref).unwrap();
-    let big_index = ReferenceIndex::from_sorted(&big_shared);
-    records.push(measure(
-        &format!("base_vector/build_merged/n={big_n},m={small_m}"),
-        || {
-            black_box(BaseVector::build_with_reference(&big_shared, black_box(&window)).unwrap());
-        },
-        alloc_counter,
-    ));
-    records.push(measure(
-        &format!("base_vector/build_indexed/n={big_n},m={small_m}"),
-        || {
-            black_box(BaseVector::build_with_index(&big_index, black_box(&window)).unwrap());
-        },
-        alloc_counter,
-    ));
-    // The engine's steady state: splice into recycled output buffers, so
-    // the per-window cost drops to the actual construction work.
-    let mut recycled = BaseVector::build_with_index(&big_index, &window).unwrap();
+    let big_index = ReferenceIndex::new(&big_ref).unwrap();
+    let mut recycled = BaseVector::empty();
+    let splice = |out: &mut BaseVector| {
+        BaseVector::build_with_index_into_using(
+            &big_index,
+            black_box(&window),
+            out,
+            &mut Vec::new(),
+        )
+    };
+    splice(&mut recycled).unwrap();
     records.push(measure(
         &format!("base_vector/build_indexed_reuse/n={big_n},m={small_m}"),
         || {
-            BaseVector::build_with_index_into(&big_index, black_box(&window), &mut recycled)
-                .unwrap();
+            splice(&mut recycled).unwrap();
             black_box(&recycled);
         },
         alloc_counter,

@@ -11,9 +11,8 @@ use crate::io::{
 };
 use moche_core::ks::asymptotic_p_value;
 use moche_core::{
-    BatchExplainer, Moche, MocheError, PreferenceList, ReferenceIndex, ReferenceMode,
-    SortedReference, StreamMode, StreamResult, StreamingBatchExplainer, WindowPreferences,
-    WindowReport,
+    BatchExplainer, Moche, MocheError, PreferenceList, ReferenceIndex, SortedReference, StreamMode,
+    StreamResult, StreamingBatchExplainer, WindowPreferences, WindowReport,
 };
 use moche_multidim::{
     Batch2dExplainer, Explanation2d, Point2, RankIndex2d, Stream2dExplainer, Stream2dResult,
@@ -379,9 +378,7 @@ fn run_batch(
         return Err(CliError::Usage("windows file contains no windows".into()));
     }
     let shared = SortedReference::new(r)?;
-    let explainer = BatchExplainer::new(opts.alpha)?
-        .threads(opts.threads)
-        .reference_mode(ReferenceMode::Indexed);
+    let explainer = BatchExplainer::new(opts.alpha)?.threads(opts.threads);
     // The requested cap silently shrinks to the core and job counts (a
     // 1 means the batch ran sequentially), so report the effective
     // number, not the flag.

@@ -152,15 +152,35 @@ pub fn encode_series(series: u64) -> [u8; 13] {
 
 /// Writes a reply frame: `request_opcode | REPLY`, then the JSON body.
 ///
+/// The frame goes out in one write: split into small writes, the later
+/// segments of a reply wait for the client's delayed ACK (Nagle), which
+/// adds tens of milliseconds to every round trip.
+///
 /// # Errors
 ///
 /// Any transport write failure.
 pub fn write_reply(w: &mut dyn Write, request_opcode: u8, json: &str) -> io::Result<()> {
     let len = 1 + json.len();
     let len = u32::try_from(len).map_err(|_| io::Error::other("reply too large"))?;
-    w.write_all(&len.to_le_bytes())?;
-    w.write_all(&[request_opcode | op::REPLY])?;
-    w.write_all(json.as_bytes())?;
+    let mut frame = Vec::with_capacity(5 + json.len());
+    frame.extend_from_slice(&len.to_le_bytes());
+    frame.push(request_opcode | op::REPLY);
+    frame.extend_from_slice(json.as_bytes());
+    w.write_all(&frame)?;
+    w.flush()
+}
+
+/// Writes a newline-JSON reply line, in one write for the same reason as
+/// [`write_reply`].
+///
+/// # Errors
+///
+/// Any transport write failure.
+pub(crate) fn write_json_line(w: &mut dyn Write, json: &str) -> io::Result<()> {
+    let mut line = Vec::with_capacity(json.len() + 1);
+    line.extend_from_slice(json.as_bytes());
+    line.push(b'\n');
+    w.write_all(&line)?;
     w.flush()
 }
 
@@ -571,6 +591,40 @@ impl JsonObject {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A sink that counts the `write` calls reaching the transport.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn every_reply_is_one_write() {
+        let body = r#"{"accepted":7}"#;
+        let mut binary = CountingWriter::default();
+        write_reply(&mut binary, op::STATUS, body).unwrap();
+        assert_eq!(binary.writes, 1, "a binary reply frame must be one write");
+        let mut cursor = &binary.bytes[..];
+        assert_eq!(read_reply(&mut cursor).unwrap(), (op::STATUS | op::REPLY, body.into()));
+
+        let mut lines = CountingWriter::default();
+        write_json_line(&mut lines, body).unwrap();
+        assert_eq!(lines.writes, 1, "a JSON-lines reply must be one write");
+        assert_eq!(lines.bytes, format!("{body}\n").into_bytes());
+    }
 
     #[test]
     fn binary_obs_round_trips() {

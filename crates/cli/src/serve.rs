@@ -808,11 +808,7 @@ fn respond(conn: &mut Conn, mode: Option<WireMode>, opcode: u8, body: &str) -> i
         return Err(io::Error::new(ErrorKind::WouldBlock, "injected write stall (serve.write)"));
     }
     match mode {
-        Some(WireMode::JsonLines) => {
-            conn.write_all(body.as_bytes())?;
-            conn.write_all(b"\n")?;
-            conn.flush()
-        }
+        Some(WireMode::JsonLines) => protocol::write_json_line(conn, body),
         _ => protocol::write_reply(conn, opcode, body),
     }
 }
@@ -934,7 +930,11 @@ impl Listener {
 
     fn accept(&self) -> io::Result<Conn> {
         match self {
-            Listener::Tcp(listener, _) => listener.accept().map(|(s, _)| Conn::Tcp(s)),
+            // Replies are small writes the client waits on; with Nagle on,
+            // each would sit out the client's delayed ACK.
+            Listener::Tcp(listener, _) => {
+                listener.accept().and_then(|(s, _)| s.set_nodelay(true).map(|()| Conn::Tcp(s)))
+            }
             #[cfg(unix)]
             Listener::Unix(listener, _) => listener.accept().map(|(s, _)| Conn::Unix(s)),
         }
@@ -1110,6 +1110,18 @@ mod tests {
     use super::*;
     use crate::protocol::MAX_FRAME_LEN;
     use std::io::{BufRead, BufReader};
+
+    #[test]
+    fn accepted_tcp_streams_have_nagle_off() {
+        let listener = Listener::bind(&Listen::Tcp("127.0.0.1:0".into())).expect("bind");
+        let Listener::Tcp(_, addr) = &listener else { panic!("a TCP listener") };
+        let _client = TcpStream::connect(addr).expect("connect");
+        match listener.accept().expect("accept") {
+            Conn::Tcp(stream) => assert!(stream.nodelay().unwrap(), "TCP_NODELAY must be set"),
+            #[cfg(unix)]
+            Conn::Unix(_) => panic!("a TCP listener hands out TCP streams"),
+        }
+    }
 
     fn options(listen: Listen) -> ServeOptions {
         ServeOptions {

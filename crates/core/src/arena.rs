@@ -7,9 +7,9 @@
 //! consumed and dropped millions of times — those two allocations are the
 //! last per-window heap traffic on the hot path.
 //!
-//! An [`ExplanationArena`] closes the loop: the engine's `*_in` methods
-//! ([`explain_in`](crate::engine::ExplainEngine::explain_in) and friends)
-//! write the output into storage taken from the arena, and the caller hands
+//! An [`ExplanationArena`] closes the loop: the engine's explain entry point
+//! ([`explain_with_index_in`](crate::engine::ExplainEngine::explain_with_index_in))
+//! writes the output into storage taken from the arena, and the caller hands
 //! the buffers back with [`recycle`](ExplanationArena::recycle) once the
 //! explanation has been consumed. A warm `(engine, arena)` pair explains
 //! with **zero** heap allocations — a property gated by the

@@ -46,11 +46,11 @@ pub struct BaseVector {
 /// [`BaseVector`] builds.
 ///
 /// The shared-reference workload (one reference distribution monitored
-/// against thousands of test windows — see [`crate::batch`]) re-sorts and
-/// re-validates the same `R` for every window when it goes through
-/// [`BaseVector::build`]. A `SortedReference` does that `O(n log n)` work
-/// once; [`BaseVector::build_with_reference`] then runs in
-/// `O(n + m log m)` per window.
+/// against thousands of test windows — see [`crate::batch`]) would re-sort
+/// and re-validate the same `R` for every window if it went through
+/// [`BaseVector::build`]. A `SortedReference` is that `O(n log n)` work
+/// done once: the validated input [`crate::batch::BatchExplainer`] takes,
+/// indexed in `O(n)` by [`crate::ReferenceIndex::from_sorted`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct SortedReference {
     values: Vec<f64>,
@@ -105,7 +105,11 @@ pub(crate) struct RecycledBuffers {
 impl BaseVector {
     /// Builds the base vector and cumulative counts from raw samples.
     ///
-    /// Runs in `O((n + m) log(n + m))` time.
+    /// Runs in `O((n + m) log(n + m))` time. This is the paper's merge and
+    /// the one-shot path of [`crate::Moche`]; many windows against one
+    /// reference splice into a [`crate::ReferenceIndex`] instead
+    /// ([`build_with_index_into_using`](Self::build_with_index_into_using)),
+    /// with byte-identical results.
     ///
     /// # Errors
     ///
@@ -121,31 +125,9 @@ impl BaseVector {
             return Err(MocheError::EmptyTest);
         }
         validate_finite(SetKind::Reference, reference)?;
+        validate_finite(SetKind::Test, test)?;
         let mut r_sorted = reference.to_vec();
         r_sorted.sort_unstable_by(f64::total_cmp);
-        Self::merge_sorted(&r_sorted, test)
-    }
-
-    /// Builds the base vector against a pre-sorted, pre-validated reference,
-    /// skipping the per-call `O(n log n)` sort of `R`. This is the
-    /// shared-reference fast path used by [`crate::batch`].
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the test sample is empty or contains non-finite
-    /// values.
-    pub fn build_with_reference(
-        reference: &SortedReference,
-        test: &[f64],
-    ) -> Result<Self, MocheError> {
-        Self::merge_sorted(reference.as_sorted(), test)
-    }
-
-    fn merge_sorted(r_sorted: &[f64], test: &[f64]) -> Result<Self, MocheError> {
-        if test.is_empty() {
-            return Err(MocheError::EmptyTest);
-        }
-        validate_finite(SetKind::Test, test)?;
         let mut t_sorted = test.to_vec();
         t_sorted.sort_unstable_by(f64::total_cmp);
 
@@ -194,9 +176,9 @@ impl BaseVector {
     }
 
     /// An empty placeholder whose only purpose is buffer recycling: pass it
-    /// to [`build_with_index_into`](Self::build_with_index_into) to rebuild
-    /// it in place without reallocating. Every query method reports a
-    /// zero-size instance until then.
+    /// to [`build_with_index_into_using`](Self::build_with_index_into_using)
+    /// to rebuild it in place without reallocating. Every query method
+    /// reports a zero-size instance until then.
     pub fn empty() -> Self {
         Self {
             values: Vec::new(),
@@ -464,20 +446,11 @@ mod tests {
     }
 
     #[test]
-    fn build_with_reference_matches_build() {
-        let (r, t) = paper_example();
-        let shared = SortedReference::new(&r).unwrap();
-        assert_eq!(shared.len(), r.len());
+    fn sorted_reference_sorts_once() {
+        let shared = SortedReference::new(&[20.0, 14.0, 20.0, -0.5]).unwrap();
+        assert_eq!(shared.len(), 4);
         assert!(!shared.is_empty());
-        let direct = BaseVector::build(&r, &t).unwrap();
-        let via_shared = BaseVector::build_with_reference(&shared, &t).unwrap();
-        assert_eq!(direct, via_shared);
-        // A second, different window against the same shared reference.
-        let t2 = vec![20.0, 20.0, 11.0];
-        assert_eq!(
-            BaseVector::build(&r, &t2).unwrap(),
-            BaseVector::build_with_reference(&shared, &t2).unwrap()
-        );
+        assert_eq!(shared.as_sorted(), &[-0.5, 14.0, 20.0, 20.0]);
     }
 
     #[test]

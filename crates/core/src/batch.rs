@@ -5,9 +5,9 @@
 //! order. What it owns itself:
 //!
 //! * **the shared reference**, validated and sorted once
-//!   ([`SortedReference`]) or indexed once ([`ReferenceMode::Indexed`]),
-//!   cutting the per-window cost from `O((n + m) log(n + m))` to
-//!   `O(n + m log m)`;
+//!   ([`SortedReference`]) and indexed once per call ([`ReferenceIndex`]),
+//!   so each window is spliced into it in `O(m log m + q_T log q_R)` plus
+//!   chunk copies instead of a `O((n + m) log(n + m))` merge;
 //! * **the preference vocabulary** ([`WindowPreferences`]), with score
 //!   callbacks evaluated inside the workers;
 //! * **the 1-D kernel** it shares with [`crate::streaming`]: an
@@ -44,17 +44,16 @@ use crate::preference::PreferenceList;
 use crate::ref_index::ReferenceIndex;
 
 /// How the shared reference is prepared for per-window base-vector builds.
+///
+/// Every window is spliced into a [`ReferenceIndex`] built once per call,
+/// so there is nothing left to select: the enum and
+/// [`BatchExplainer::reference_mode`] are kept only because the end-to-end
+/// benchmark under `perfbench/` names them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ReferenceMode {
-    /// Re-merge the sorted reference with each window
-    /// ([`crate::BaseVector::build_with_reference`]): `O(n + m)` per
-    /// window.
-    #[default]
-    Merged,
     /// Splice each window into a precomputed [`ReferenceIndex`]
-    /// ([`crate::BaseVector::build_with_index`]): the index is built once
-    /// per call and the per-window merge loop is replaced by chunk copies.
-    /// Results are byte-identical to [`ReferenceMode::Merged`].
+    /// ([`crate::BaseVector::build_with_index_into_using`]).
+    #[default]
     Indexed,
 }
 
@@ -103,19 +102,12 @@ impl std::fmt::Debug for WindowPreferences<'_> {
     }
 }
 
-/// The shared reference a 1-D kernel explains against.
-#[derive(Clone, Copy)]
-pub(crate) enum Reference<'a> {
-    Merged(&'a SortedReference),
-    Indexed(&'a ReferenceIndex),
-}
-
 /// The 1-D [`WindowKernel`]: per-worker engine (which owns every internal
 /// scratch buffer), a preference list reused by the identity and
 /// scored-into paths, and the output arena — so a warm worker allocates
 /// nothing per window once the sink hands its outputs back.
 pub(crate) struct ExplainKernel<'a> {
-    reference: Reference<'a>,
+    pub(crate) index: &'a ReferenceIndex,
     preferences: WindowPreferences<'a>,
     pub(crate) engine: ExplainEngine,
     pref: PreferenceList,
@@ -125,11 +117,11 @@ pub(crate) struct ExplainKernel<'a> {
 impl<'a> ExplainKernel<'a> {
     pub(crate) fn new(
         cfg: KsConfig,
-        reference: Reference<'a>,
+        index: &'a ReferenceIndex,
         preferences: WindowPreferences<'a>,
     ) -> Self {
         Self {
-            reference,
+            index,
             preferences,
             engine: ExplainEngine::with_config(cfg),
             pref: PreferenceList::identity(0),
@@ -161,14 +153,7 @@ impl WindowKernel for ExplainKernel<'_> {
                 &self.pref
             }
         };
-        match self.reference {
-            Reference::Merged(r) => {
-                self.engine.explain_with_reference_in(r, window, pref, &mut self.arena)
-            }
-            Reference::Indexed(i) => {
-                self.engine.explain_with_index_in(i, window, pref, &mut self.arena)
-            }
-        }
+        self.engine.explain_with_index_in(self.index, window, pref, &mut self.arena)
     }
 
     fn reclaim(&mut self, explanation: Explanation) {
@@ -184,7 +169,6 @@ impl WindowKernel for ExplainKernel<'_> {
 pub struct BatchExplainer {
     cfg: KsConfig,
     pipeline: Pipeline,
-    reference_mode: ReferenceMode,
 }
 
 impl BatchExplainer {
@@ -200,7 +184,7 @@ impl BatchExplainer {
 
     /// Creates a batch explainer from an existing [`KsConfig`].
     pub fn with_config(cfg: KsConfig) -> Self {
-        Self { cfg, pipeline: Pipeline::default(), reference_mode: ReferenceMode::default() }
+        Self { cfg, pipeline: Pipeline::default() }
     }
 
     /// Caps the worker-thread count. `0` (the default) means "one per
@@ -211,12 +195,10 @@ impl BatchExplainer {
         self
     }
 
-    /// Selects how [`explain_windows`](Self::explain_windows) builds each
-    /// window's base vector (merged vs indexed reference — identical
-    /// results, different constant factors).
+    /// Accepts the only [`ReferenceMode`] and changes nothing; kept for
+    /// the benchmark that names it.
     #[must_use]
-    pub fn reference_mode(mut self, mode: ReferenceMode) -> Self {
-        self.reference_mode = mode;
+    pub fn reference_mode(self, _mode: ReferenceMode) -> Self {
         self
     }
 
@@ -236,8 +218,10 @@ impl BatchExplainer {
     }
 
     /// The shared-reference mode: one reference, many test windows. The
-    /// reference's cumulative structures are prepared once (see
-    /// [`SortedReference`]) and shared read-only by every worker.
+    /// reference is indexed once (see [`SortedReference`] and
+    /// [`ReferenceIndex::from_sorted`], an `O(n)` pass over the sorted
+    /// values) and shared read-only by every worker, which splices each
+    /// window into it.
     ///
     /// `preferences`, when given, supplies one list per window (in order);
     /// `None` explains every window under the identity order.
@@ -266,10 +250,6 @@ impl BatchExplainer {
     /// callback evaluated inside the worker threads (see
     /// [`WindowPreferences`]).
     ///
-    /// Under [`ReferenceMode::Indexed`] a [`ReferenceIndex`] is built once
-    /// from `reference` (an `O(n)` pass over the already-sorted values) and
-    /// every window is spliced into it.
-    ///
     /// # Errors
     ///
     /// If [`WindowPreferences::PerWindow`] supplies a different number of
@@ -283,20 +263,12 @@ impl BatchExplainer {
         windows: &[W],
         preferences: WindowPreferences<'_>,
     ) -> Vec<Result<Explanation, MocheError>> {
-        let index;
-        let reference = match self.reference_mode {
-            ReferenceMode::Merged => Reference::Merged(reference),
-            ReferenceMode::Indexed => {
-                index = ReferenceIndex::from_sorted(reference);
-                Reference::Indexed(&index)
-            }
-        };
+        let index = ReferenceIndex::from_sorted(reference);
         let count = match preferences {
             WindowPreferences::PerWindow(lists) => Some(lists.len()),
             _ => None,
         };
-        self.pipeline
-            .collect(windows, count, || ExplainKernel::new(self.cfg, reference, preferences))
+        self.pipeline.collect(windows, count, || ExplainKernel::new(self.cfg, &index, preferences))
     }
 }
 
@@ -346,22 +318,6 @@ mod tests {
         for ((w, pref), result) in windows.iter().zip(&prefs).zip(&results) {
             let expected = moche.explain(&r, w, pref).unwrap();
             assert_eq!(result.as_ref().unwrap().indices(), expected.indices());
-        }
-    }
-
-    #[test]
-    fn indexed_mode_matches_merged_mode() {
-        let (r, windows) = windows_against(10, 16, 50);
-        let shared = SortedReference::new(&r).unwrap();
-        for threads in [1, 4] {
-            let merged = BatchExplainer::new(0.05).unwrap().threads(threads);
-            let indexed = merged.reference_mode(ReferenceMode::Indexed);
-            let a = merged.explain_windows(&shared, &windows, None);
-            let b = indexed.explain_windows(&shared, &windows, None);
-            assert_eq!(a.len(), b.len());
-            for (x, y) in a.iter().zip(&b) {
-                assert_eq!(x.as_ref().unwrap(), y.as_ref().unwrap());
-            }
         }
     }
 

@@ -1,35 +1,37 @@
 //! The reusable explain engine: MOCHE's hot path with caller-owned scratch.
 //!
 //! [`Moche::explain`](crate::Moche::explain) is a convenient one-shot API,
-//! but each call heap-allocates the Phase-2 working set (two bound vectors,
-//! the `ū`/`d` selection state and a propagation buffer). On the workloads
-//! the ROADMAP targets — one reference distribution monitored against
-//! thousands of test windows, explanations served on every drift alarm —
-//! those transient allocations are pure overhead: the buffers have the same
-//! shape every time.
+//! but each call heap-allocates the base vector, the Phase-2 working set
+//! (two bound vectors, the `ū`/`d` selection state and a propagation
+//! buffer) and the output. On the workloads the ROADMAP targets — one
+//! reference distribution monitored against thousands of test windows,
+//! explanations served on every drift alarm — those transient allocations
+//! are pure overhead: the buffers have the same shape every time.
 //!
-//! [`ExplainEngine`] owns a [`BoundsWorkspace`] and reuses it across
+//! [`ExplainEngine`] has one explain entry point,
+//! [`explain_with_index_in`](ExplainEngine::explain_with_index_in), plus
+//! its Phase-1-only twin [`size_with_index`](ExplainEngine::size_with_index).
+//! Both splice each window into a precomputed [`ReferenceIndex`] and reuse
+//! the base vector, the sort buffer and a [`BoundsWorkspace`] across
 //!
 //! * every Phase-1 `h` probe (the Theorem-2 binary search and the Theorem-1
 //!   linear scan are already streaming and `O(1)`-space),
 //! * the Phase-2 bound computation and construction
-//!   ([`phase2::construct_with`]), and
+//!   ([`phase2::construct_into`]), and
 //! * all alphas of a [`size_profile`](ExplainEngine::size_profile) sweep
 //!   (one [`BoundsContext`] reconfigured per level).
 //!
-//! In steady state an engine performs no heap allocations besides the
-//! returned [`Explanation`] itself — and with a caller-owned
-//! [`ExplanationArena`] (the `*_in` method family) not even that: the
-//! output vectors are written into recycled storage the caller hands back
-//! after consuming each explanation. Results are **byte-identical** to the
-//! one-shot paths — a property enforced by `tests/proptest_engine.rs` and
+//! With a caller-owned [`ExplanationArena`] the output vectors are written
+//! into recycled storage too, so a warm engine explains with zero heap
+//! allocations. Results are **byte-identical** to the one-shot path — a
+//! property enforced by `tests/proptest_engine.rs` and
 //! `tests/proptest_indexed.rs`.
 //!
 //! For many `(R, T)` pairs at once, see [`crate::batch`], which runs one
 //! engine per worker thread.
 
 use crate::arena::ExplanationArena;
-use crate::base_vector::{BaseVector, SortedReference};
+use crate::base_vector::BaseVector;
 use crate::bounds::{BoundsContext, BoundsWorkspace};
 use crate::cumulative::SubsetCounts;
 use crate::error::MocheError;
@@ -44,22 +46,26 @@ use crate::ref_index::ReferenceIndex;
 
 /// A MOCHE explainer with reusable scratch buffers.
 ///
-/// Construct once, call [`explain`](Self::explain) many times. The engine is
-/// cheap to create but only pays off when reused; for one-shot calls,
-/// [`crate::Moche`] is equivalent.
+/// Construct once, call
+/// [`explain_with_index_in`](Self::explain_with_index_in) many times. The
+/// engine is cheap to create but only pays off when reused; for one-shot
+/// calls, [`crate::Moche`] is equivalent.
 ///
 /// # Examples
 ///
 /// ```
-/// use moche_core::{ExplainEngine, PreferenceList};
+/// use moche_core::{ExplainEngine, ExplanationArena, PreferenceList, ReferenceIndex};
 ///
 /// let reference = vec![14.0, 14.0, 14.0, 14.0, 20.0, 20.0, 20.0, 20.0];
+/// let index = ReferenceIndex::new(&reference).unwrap();
 /// let mut engine = ExplainEngine::new(0.3).unwrap();
+/// let mut arena = ExplanationArena::new();
 /// for test in [vec![13.0, 13.0, 12.0, 20.0], vec![12.0, 13.0, 13.0, 20.0]] {
 ///     let pref = PreferenceList::identity(test.len());
-///     let e = engine.explain(&reference, &test, &pref).unwrap();
+///     let e = engine.explain_with_index_in(&index, &test, &pref, &mut arena).unwrap();
 ///     assert_eq!(e.size(), 2);
 ///     assert!(e.outcome_after.passes());
+///     arena.recycle(e);
 /// }
 /// ```
 #[derive(Debug, Clone)]
@@ -69,8 +75,8 @@ pub struct ExplainEngine {
     construction: ConstructionStrategy,
     ws: BoundsWorkspace,
     /// Recycled output of the indexed base-vector splice: steady-state
-    /// [`explain_with_index`](Self::explain_with_index) calls rebuild it in
-    /// place instead of reallocating the `O(n + m)` arrays per window.
+    /// calls rebuild it in place instead of reallocating the `O(n + m)`
+    /// arrays per window.
     base_scratch: Option<BaseVector>,
     /// Recycled sort buffer for the window side of the indexed splice.
     sort_scratch: Vec<f64>,
@@ -124,102 +130,22 @@ impl ExplainEngine {
         &self.cfg
     }
 
-    /// Explains the failed KS test between `reference` and `test` under
-    /// `preference`, reusing this engine's scratch buffers.
+    /// Explains the failed KS test between the reference behind `index`
+    /// (canonically a [`ReferenceIndex`]) and `test` under `preference`,
+    /// writing the output into storage recycled through `arena` (see
+    /// [`ExplanationArena`]): the returned explanation owns the arena's
+    /// buffers; hand them back with [`ExplanationArena::recycle`] once it
+    /// has been consumed.
+    ///
+    /// The window is spliced into the index
+    /// ([`BaseVector::build_with_index_into_using`]) instead of re-merging
+    /// `R ∪ T`, and base vector, bounds, sort buffer, removal counts *and*
+    /// the output vectors are all reused, so a warm `(engine, arena)` pair
+    /// explains with zero heap allocations.
     ///
     /// # Errors
     ///
     /// As for [`crate::Moche::explain`].
-    pub fn explain(
-        &mut self,
-        reference: &[f64],
-        test: &[f64],
-        preference: &PreferenceList,
-    ) -> Result<Explanation, MocheError> {
-        self.explain_in(reference, test, preference, &mut ExplanationArena::new())
-    }
-
-    /// [`explain`](Self::explain) writing the output into storage recycled
-    /// through `arena` (see [`ExplanationArena`]): the returned explanation
-    /// owns the arena's buffers; hand them back with
-    /// [`ExplanationArena::recycle`] once it has been consumed.
-    ///
-    /// # Errors
-    ///
-    /// As for [`explain`](Self::explain).
-    pub fn explain_in(
-        &mut self,
-        reference: &[f64],
-        test: &[f64],
-        preference: &PreferenceList,
-        arena: &mut ExplanationArena,
-    ) -> Result<Explanation, MocheError> {
-        let base = BaseVector::build(reference, test)?;
-        self.explain_base_in(&base, test, preference, arena)
-    }
-
-    /// [`explain`](Self::explain) against a pre-sorted shared reference:
-    /// skips the per-call sort and validation of `R`. This is the
-    /// shared-reference fast path (one `R`, many `T` windows).
-    ///
-    /// # Errors
-    ///
-    /// As for [`explain`](Self::explain).
-    pub fn explain_with_reference(
-        &mut self,
-        reference: &SortedReference,
-        test: &[f64],
-        preference: &PreferenceList,
-    ) -> Result<Explanation, MocheError> {
-        self.explain_with_reference_in(reference, test, preference, &mut ExplanationArena::new())
-    }
-
-    /// [`explain_with_reference`](Self::explain_with_reference) writing the
-    /// output into storage recycled through `arena`.
-    ///
-    /// # Errors
-    ///
-    /// As for [`explain`](Self::explain).
-    pub fn explain_with_reference_in(
-        &mut self,
-        reference: &SortedReference,
-        test: &[f64],
-        preference: &PreferenceList,
-        arena: &mut ExplanationArena,
-    ) -> Result<Explanation, MocheError> {
-        let base = BaseVector::build_with_reference(reference, test)?;
-        self.explain_base_in(&base, test, preference, arena)
-    }
-
-    /// [`explain`](Self::explain) against a precomputed [`RankSource`]
-    /// (canonically a [`ReferenceIndex`], or an
-    /// [`crate::ref_index::IncrementalRefIndex`]'s materialized view): the
-    /// per-window base vector is spliced into the source
-    /// ([`BaseVector::build_with_index`]) instead of re-merging `R ∪ T`.
-    /// This is the amortized path for one `R` against many windows.
-    ///
-    /// # Errors
-    ///
-    /// As for [`explain`](Self::explain).
-    pub fn explain_with_index<S: RankSource + ?Sized>(
-        &mut self,
-        index: &S,
-        test: &[f64],
-        preference: &PreferenceList,
-    ) -> Result<Explanation, MocheError> {
-        self.explain_with_index_in(index, test, preference, &mut ExplanationArena::new())
-    }
-
-    /// [`explain_with_index`](Self::explain_with_index) writing the output
-    /// into storage recycled through `arena`. This is the fully
-    /// allocation-free steady state: base vector, bounds, sort buffer,
-    /// removal counts *and* the output vectors are all reused, so a warm
-    /// `(engine, arena)` pair explains with zero heap allocations — the
-    /// per-window hot path of [`crate::streaming`].
-    ///
-    /// # Errors
-    ///
-    /// As for [`explain`](Self::explain).
     pub fn explain_with_index_in<S: RankSource + ?Sized>(
         &mut self,
         index: &S,
@@ -227,14 +153,9 @@ impl ExplainEngine {
         preference: &PreferenceList,
         arena: &mut ExplanationArena,
     ) -> Result<Explanation, MocheError> {
-        let mut base = self.base_scratch.take().unwrap_or_else(BaseVector::empty);
-        let mut sort_scratch = std::mem::take(&mut self.sort_scratch);
-        let result =
-            BaseVector::build_with_index_into_using(index, test, &mut base, &mut sort_scratch)
-                .and_then(|()| self.explain_base_in(&base, test, preference, arena));
-        self.sort_scratch = sort_scratch;
-        self.base_scratch = Some(base);
-        result
+        self.with_splice(index, test, |engine, base| {
+            engine.explain_base_in(base, test, preference, arena)
+        })
     }
 
     /// Phase 1 only, against a precomputed [`RankSource`]: the
@@ -244,18 +165,29 @@ impl ExplainEngine {
     ///
     /// # Errors
     ///
-    /// As for [`explain`](Self::explain), except preference errors cannot
-    /// occur (no preference is involved).
+    /// As for [`explain_with_index_in`](Self::explain_with_index_in),
+    /// except preference errors cannot occur (no preference is involved).
     pub fn size_with_index<S: RankSource + ?Sized>(
         &mut self,
         index: &S,
         test: &[f64],
     ) -> Result<SizeSearch, MocheError> {
+        self.with_splice(index, test, |engine, base| engine.size_base(base))
+    }
+
+    /// Splices `test` into `index` in the recycled base-vector and sort
+    /// buffers, runs `then` over the result and puts the buffers back.
+    fn with_splice<S: RankSource + ?Sized, T>(
+        &mut self,
+        index: &S,
+        test: &[f64],
+        then: impl FnOnce(&mut Self, &BaseVector) -> Result<T, MocheError>,
+    ) -> Result<T, MocheError> {
         let mut base = self.base_scratch.take().unwrap_or_else(BaseVector::empty);
         let mut sort_scratch = std::mem::take(&mut self.sort_scratch);
         let result =
             BaseVector::build_with_index_into_using(index, test, &mut base, &mut sort_scratch)
-                .and_then(|()| self.size_base(&base));
+                .and_then(|()| then(self, &base));
         self.sort_scratch = sort_scratch;
         self.base_scratch = Some(base);
         result
@@ -411,41 +343,21 @@ mod tests {
     #[test]
     fn engine_matches_one_shot_paths() {
         let (r, t) = paper_setup();
-        let pref = PreferenceList::new(vec![3, 2, 1, 0]).unwrap();
-        let mut engine = ExplainEngine::new(0.3).unwrap();
-        let moche = Moche::new(0.3).unwrap();
-        let reference = moche.construction(ConstructionStrategy::Reference);
-        for _ in 0..3 {
-            let a = engine.explain(&r, &t, &pref).unwrap();
-            let b = moche.explain(&r, &t, &pref).unwrap();
-            let c = reference.explain(&r, &t, &pref).unwrap();
-            assert_eq!(a.indices(), b.indices());
-            assert_eq!(a.indices(), c.indices());
-            assert_eq!(a.phase1, b.phase1);
-            assert_eq!(a.outcome_after, b.outcome_after);
-        }
-    }
-
-    #[test]
-    fn engine_shared_reference_matches_direct() {
-        let (r, t) = paper_setup();
-        let shared = SortedReference::new(&r).unwrap();
-        let pref = PreferenceList::new(vec![3, 2, 1, 0]).unwrap();
-        let mut engine = ExplainEngine::new(0.3).unwrap();
-        let direct = engine.explain(&r, &t, &pref).unwrap();
-        let via_shared = engine.explain_with_reference(&shared, &t, &pref).unwrap();
-        assert_eq!(direct, via_shared);
-    }
-
-    #[test]
-    fn engine_indexed_matches_direct() {
-        let (r, t) = paper_setup();
         let index = ReferenceIndex::new(&r).unwrap();
         let pref = PreferenceList::new(vec![3, 2, 1, 0]).unwrap();
         let mut engine = ExplainEngine::new(0.3).unwrap();
-        let direct = engine.explain(&r, &t, &pref).unwrap();
-        let via_index = engine.explain_with_index(&index, &t, &pref).unwrap();
-        assert_eq!(direct, via_index);
+        let mut arena = ExplanationArena::new();
+        let moche = Moche::new(0.3).unwrap();
+        let reference = moche.construction(ConstructionStrategy::Reference);
+        for _ in 0..3 {
+            let a = engine.explain_with_index_in(&index, &t, &pref, &mut arena).unwrap();
+            let b = moche.explain(&r, &t, &pref).unwrap();
+            let c = reference.explain(&r, &t, &pref).unwrap();
+            assert_eq!(a, b);
+            assert_eq!(a.indices(), c.indices());
+            assert_eq!(a.outcome_after, c.outcome_after);
+            arena.recycle(a);
+        }
     }
 
     #[test]
@@ -454,8 +366,9 @@ mod tests {
         let index = ReferenceIndex::new(&r).unwrap();
         let mut engine = ExplainEngine::new(0.3).unwrap();
         let size = engine.size_with_index(&index, &t).unwrap();
-        let full = engine.explain(&r, &t, &PreferenceList::new(vec![3, 2, 1, 0]).unwrap()).unwrap();
+        let full = Moche::new(0.3).unwrap().explain(&r, &t, &PreferenceList::identity(4)).unwrap();
         assert_eq!(size, full.phase1);
+        assert_eq!(Moche::new(0.3).unwrap().explanation_size(&r, &t).unwrap(), size);
         // Passing tests surface the same error as the explain path.
         match engine.size_with_index(&index, &r) {
             Err(MocheError::TestAlreadyPasses { .. }) => {}
@@ -466,18 +379,25 @@ mod tests {
     #[test]
     fn engine_surfaces_errors_like_moche() {
         let (r, t) = paper_setup();
+        let index = ReferenceIndex::new(&r).unwrap();
         let mut engine = ExplainEngine::new(0.3).unwrap();
-        match engine.explain(&r, &r, &PreferenceList::identity(r.len())) {
+        let mut arena = ExplanationArena::new();
+        match engine.explain_with_index_in(
+            &index,
+            &r,
+            &PreferenceList::identity(r.len()),
+            &mut arena,
+        ) {
             Err(MocheError::TestAlreadyPasses { .. }) => {}
             other => panic!("unexpected {other:?}"),
         }
-        match engine.explain(&r, &t, &PreferenceList::identity(3)) {
+        match engine.explain_with_index_in(&index, &t, &PreferenceList::identity(3), &mut arena) {
             Err(MocheError::PreferenceLengthMismatch { expected: 4, actual: 3 }) => {}
             other => panic!("unexpected {other:?}"),
         }
         // A hard error must not poison the engine for later calls.
         let pref = PreferenceList::new(vec![3, 2, 1, 0]).unwrap();
-        assert_eq!(engine.explain(&r, &t, &pref).unwrap().size(), 2);
+        assert_eq!(engine.explain_with_index_in(&index, &t, &pref, &mut arena).unwrap().size(), 2);
     }
 
     #[test]

@@ -6,12 +6,12 @@
 //! counterfactual explanation together with verification outcomes and
 //! search diagnostics.
 
+use crate::arena::ExplanationArena;
 use crate::base_vector::BaseVector;
-use crate::bounds::BoundsContext;
 use crate::engine::ExplainEngine;
 use crate::error::MocheError;
 use crate::ks::{KsConfig, KsOutcome};
-use crate::phase1::{self, SizeSearch};
+use crate::phase1::SizeSearch;
 use crate::phase2::ConstructStats;
 use crate::preference::PreferenceList;
 
@@ -141,21 +141,7 @@ impl Moche {
         test: &[f64],
     ) -> Result<SizeSearch, MocheError> {
         let base = BaseVector::build(reference, test)?;
-        let outcome = base.outcome(&self.cfg);
-        if outcome.passes() {
-            return Err(MocheError::TestAlreadyPasses {
-                statistic: outcome.statistic,
-                threshold: outcome.threshold,
-            });
-        }
-        let ctx = BoundsContext::new(&base, &self.cfg);
-        match self.size_search {
-            SizeSearchStrategy::Wavefront => phase1::find_size_wavefront(&ctx, self.cfg.alpha()),
-            SizeSearchStrategy::LowerBounded => phase1::find_size(&ctx, self.cfg.alpha()),
-            SizeSearchStrategy::NoLowerBound => {
-                phase1::find_size_no_lower_bound(&ctx, self.cfg.alpha())
-            }
-        }
+        self.engine().size_base(&base)
     }
 
     /// Finds the most comprehensible counterfactual explanation of the
@@ -176,9 +162,10 @@ impl Moche {
         preference: &PreferenceList,
     ) -> Result<Explanation, MocheError> {
         // The engine is the canonical implementation of the explain flow
-        // for both construction strategies; a one-shot call simply uses a
-        // fresh workspace.
-        self.engine().explain(reference, test, preference)
+        // for both construction strategies; a one-shot call merges `R ∪ T`
+        // directly and uses a fresh workspace and arena.
+        let base = BaseVector::build(reference, test)?;
+        self.engine().explain_base_in(&base, test, preference, &mut ExplanationArena::new())
     }
 
     /// Creates a scratch-reusing [`ExplainEngine`] with this explainer's
@@ -238,10 +225,10 @@ impl Moche {
 
 /// The most comprehensible counterfactual explanation of a failed KS test.
 ///
-/// The two owned vectors (indices and values) are the only per-call heap
-/// cost of a warm [`ExplainEngine`]; callers on the streaming hot path
-/// write them into recycled storage instead via the engine's `*_in`
-/// methods and hand them back with
+/// The two owned vectors (indices and values) are the only output of a
+/// warm [`ExplainEngine`] that could allocate; callers on the streaming hot
+/// path write them into recycled storage through
+/// [`ExplainEngine::explain_with_index_in`] and hand them back with
 /// [`ExplanationArena::recycle`](crate::arena::ExplanationArena::recycle)
 /// after consumption.
 #[derive(Debug, Clone, PartialEq)]

@@ -10,8 +10,10 @@
 //! so a per-window build only has to *splice* the window's `O(q_T)`
 //! distinct values into the precomputed structure.
 //!
-//! [`BaseVector::build_with_index`] runs in `O(m log m)` to sort the
-//! window, `O(q_T log q_R)` to locate the splice points, and copies the
+//! [`BaseVector::build_with_index_into_using`] — the one per-window builder
+//! behind [`crate::ExplainEngine::explain_with_index_in`] and therefore
+//! every batch, stream, monitor and fleet explanation — runs in
+//! `O(m log m)` to sort the window, `O(q_T log q_R)` to locate the splice points, and copies the
 //! untouched reference runs between them with `memcpy`-style chunk copies
 //! instead of a per-element merge loop — the dominant `O(n)` term loses
 //! its branch-per-element constant. The result is **byte-identical** to
@@ -32,7 +34,8 @@ mod sealed {
 
 /// A read-only *rank source* over a reference sample: the distinct sorted
 /// values and their cumulative rank counts, in the exact layout the
-/// base-vector splice ([`BaseVector::build_with_index`]) consumes.
+/// base-vector splice ([`BaseVector::build_with_index_into_using`])
+/// consumes.
 ///
 /// [`ReferenceIndex`] is the canonical implementation (built by sorting);
 /// [`IncrementalRefIndex::materialize`] produces the same view from an
@@ -72,9 +75,10 @@ impl RankSource for ReferenceIndex {
 /// A reference sample preprocessed for repeated base-vector builds: the
 /// distinct sorted values of `R` and their cumulative counts.
 ///
-/// Build once per reference (`O(n log n)`), then construct per-window base
-/// vectors with [`BaseVector::build_with_index`]. Shareable read-only
-/// across worker threads (see [`crate::batch`] and [`crate::streaming`]).
+/// Build once per reference (`O(n log n)`), then splice per-window base
+/// vectors into it with [`BaseVector::build_with_index_into_using`].
+/// Shareable read-only across worker threads (see [`crate::batch`] and
+/// [`crate::streaming`]).
 ///
 /// # Examples
 ///
@@ -87,7 +91,9 @@ impl RankSource for ReferenceIndex {
 /// assert_eq!(index.q_r(), 2); // distinct values 14 and 20
 ///
 /// let test = vec![13.0, 13.0, 12.0, 20.0];
-/// let indexed = BaseVector::build_with_index(&index, &test).unwrap();
+/// let (mut indexed, mut sort_scratch) = (BaseVector::empty(), Vec::new());
+/// BaseVector::build_with_index_into_using(&index, &test, &mut indexed, &mut sort_scratch)
+///     .unwrap();
 /// let merged = BaseVector::build(&reference, &test).unwrap();
 /// assert_eq!(indexed, merged);
 /// ```
@@ -235,57 +241,22 @@ impl ReferenceIndex {
 
 impl BaseVector {
     /// Builds the base vector against a precomputed [`RankSource`]
-    /// (canonically a [`ReferenceIndex`]), splicing the window's distinct
-    /// values into the source instead of re-merging `R ∪ T`.
+    /// (canonically a [`ReferenceIndex`]) into `out`, splicing the window's
+    /// distinct values into the source instead of re-merging `R ∪ T`.
     ///
     /// `O(m log m + q_T log q_R)` plus chunk copies of the reference runs;
     /// the result is byte-identical to [`BaseVector::build`] on the same
-    /// inputs.
+    /// inputs. The splice writes into `out`'s existing buffers (start from
+    /// [`BaseVector::empty`] or any previous build) and sorts the window in
+    /// the caller-owned `sort_scratch`, whose contents are overwritten on
+    /// every call. A caller looping over windows of similar size therefore
+    /// pays the page faults of the `O(n + m)` arrays once instead of per
+    /// window, and a warm caller rebuilds with **zero** heap allocations.
     ///
     /// # Errors
     ///
     /// Returns an error if the test sample is empty or contains non-finite
-    /// values.
-    pub fn build_with_index<S: RankSource + ?Sized>(
-        index: &S,
-        test: &[f64],
-    ) -> Result<Self, MocheError> {
-        let mut out = Self::empty();
-        Self::build_with_index_into(index, test, &mut out)?;
-        Ok(out)
-    }
-
-    /// [`build_with_index`](Self::build_with_index), rebuilding `out` in
-    /// place. The splice writes into `out`'s existing buffers, so a caller
-    /// looping over windows of similar size pays the page-fault cost of the
-    /// `O(n + m)` output arrays once instead of per window — on large
-    /// references that allocation dominates the construction itself.
-    /// Start from [`BaseVector::empty`] (or any previous build).
-    ///
-    /// # Errors
-    ///
-    /// As for [`build_with_index`](Self::build_with_index); on error `out`
-    /// is left unchanged.
-    pub fn build_with_index_into<S: RankSource + ?Sized>(
-        index: &S,
-        test: &[f64],
-        out: &mut Self,
-    ) -> Result<(), MocheError> {
-        let mut sort_scratch = Vec::new();
-        Self::build_with_index_into_using(index, test, out, &mut sort_scratch)
-    }
-
-    /// [`build_with_index_into`](Self::build_with_index_into) with a
-    /// caller-owned sort buffer for the window: the only remaining per-call
-    /// allocation of the splice (the sorted copy of `test`) is recycled, so
-    /// a warm caller rebuilds base vectors with **zero** heap allocations.
-    /// `sort_scratch` is an opaque scratch area; its contents are
-    /// overwritten on every call.
-    ///
-    /// # Errors
-    ///
-    /// As for [`build_with_index_into`](Self::build_with_index_into); on
-    /// error `out` is left unchanged.
+    /// values; `out` is then left unchanged.
     pub fn build_with_index_into_using<S: RankSource + ?Sized>(
         index: &S,
         test: &[f64],
@@ -699,6 +670,13 @@ mod tests {
         (vec![14.0, 14.0, 14.0, 14.0, 20.0, 20.0, 20.0, 20.0], vec![13.0, 13.0, 12.0, 20.0])
     }
 
+    /// A fresh spliced base vector of `test` against `index`.
+    fn splice<S: RankSource + ?Sized>(index: &S, test: &[f64]) -> Result<BaseVector, MocheError> {
+        let mut out = BaseVector::empty();
+        BaseVector::build_with_index_into_using(index, test, &mut out, &mut Vec::new())
+            .map(|()| out)
+    }
+
     #[test]
     fn index_summarizes_the_reference() {
         let (r, _) = paper_example();
@@ -728,7 +706,7 @@ mod tests {
         let (r, t) = paper_example();
         let index = ReferenceIndex::new(&r).unwrap();
         let merged = BaseVector::build(&r, &t).unwrap();
-        let indexed = BaseVector::build_with_index(&index, &t).unwrap();
+        let indexed = splice(&index, &t).unwrap();
         assert_eq!(indexed, merged);
     }
 
@@ -750,7 +728,7 @@ mod tests {
         ];
         for t in tests {
             let merged = BaseVector::build(&r, &t).unwrap();
-            let indexed = BaseVector::build_with_index(&index, &t).unwrap();
+            let indexed = splice(&index, &t).unwrap();
             assert_eq!(indexed, merged, "test window {t:?}");
         }
     }
@@ -761,7 +739,7 @@ mod tests {
         let index = ReferenceIndex::new(&r).unwrap();
         for t in [vec![0.0, 2.0], vec![-0.0, 2.0], vec![-0.0, 0.0]] {
             let merged = BaseVector::build(&r, &t).unwrap();
-            let indexed = BaseVector::build_with_index(&index, &t).unwrap();
+            let indexed = splice(&index, &t).unwrap();
             assert_eq!(indexed, merged, "test window {t:?}");
             assert_eq!(
                 indexed.values().iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
@@ -775,18 +753,26 @@ mod tests {
     fn rebuild_in_place_recycles_buffers_and_matches() {
         let r = vec![1.0, 1.0, 3.0, 5.0, 5.0, 5.0, 9.0];
         let index = ReferenceIndex::new(&r).unwrap();
-        let mut out = BaseVector::empty();
+        let (mut out, mut sort_scratch) = (BaseVector::empty(), Vec::new());
         for t in [vec![2.0, 4.0], vec![0.0, 5.0, 12.0], vec![9.0, 9.0, 9.0]] {
-            BaseVector::build_with_index_into(&index, &t, &mut out).unwrap();
+            BaseVector::build_with_index_into_using(&index, &t, &mut out, &mut sort_scratch)
+                .unwrap();
             assert_eq!(out, BaseVector::build(&r, &t).unwrap(), "test window {t:?}");
         }
         // Validation errors leave the previous contents untouched.
         let before = out.clone();
         assert_eq!(
-            BaseVector::build_with_index_into(&index, &[], &mut out).unwrap_err(),
+            BaseVector::build_with_index_into_using(&index, &[], &mut out, &mut sort_scratch)
+                .unwrap_err(),
             MocheError::EmptyTest
         );
-        assert!(BaseVector::build_with_index_into(&index, &[f64::NAN], &mut out).is_err());
+        assert!(BaseVector::build_with_index_into_using(
+            &index,
+            &[f64::NAN],
+            &mut out,
+            &mut sort_scratch
+        )
+        .is_err());
         assert_eq!(out, before);
     }
 
@@ -822,8 +808,8 @@ mod tests {
     #[test]
     fn indexed_build_rejects_bad_test_input() {
         let index = ReferenceIndex::new(&[1.0, 2.0]).unwrap();
-        assert_eq!(BaseVector::build_with_index(&index, &[]).unwrap_err(), MocheError::EmptyTest);
-        assert!(BaseVector::build_with_index(&index, &[f64::NAN]).is_err());
+        assert_eq!(splice(&index, &[]).unwrap_err(), MocheError::EmptyTest);
+        assert!(splice(&index, &[f64::NAN]).is_err());
     }
 
     #[test]
@@ -1034,7 +1020,7 @@ mod tests {
         for &v in &r {
             live.insert(v);
         }
-        let via_live = BaseVector::build_with_index(live.materialize().unwrap(), &t).unwrap();
+        let via_live = splice(live.materialize().unwrap(), &t).unwrap();
         assert_eq!(via_live, BaseVector::build(&r, &t).unwrap());
     }
 
@@ -1043,7 +1029,7 @@ mod tests {
         let r: Vec<f64> = (0..500).map(|i| f64::from(i % 23)).collect();
         let t: Vec<f64> = (0..80).map(|i| f64::from(i % 17) + 3.5).collect();
         let index = ReferenceIndex::new(&r).unwrap();
-        let b = BaseVector::build_with_index(&index, &t).unwrap();
+        let b = splice(&index, &t).unwrap();
         let direct = crate::ks::ks_statistic(&r, &t).unwrap();
         assert!((b.statistic() - direct).abs() < 1e-15);
     }

@@ -15,7 +15,7 @@
 //!
 //! [`explain_source`]: StreamingBatchExplainer::explain_source
 
-use crate::batch::{ExplainKernel, Reference, WindowPreferences};
+use crate::batch::{ExplainKernel, WindowPreferences};
 pub use crate::batch::{ScoreFn, ScoreIntoFn};
 use crate::error::MocheError;
 use crate::ks::KsConfig;
@@ -79,7 +79,6 @@ pub struct StreamResult {
 /// The streaming kernel: the batch's 1-D kernel plus the size-only mode.
 struct StreamKernel<'a> {
     kernel: ExplainKernel<'a>,
-    index: &'a ReferenceIndex,
     mode: StreamMode,
 }
 
@@ -89,9 +88,11 @@ impl WindowKernel for StreamKernel<'_> {
 
     fn process(&mut self, window_id: usize, window: &[f64]) -> Result<WindowReport, MocheError> {
         match self.mode {
-            StreamMode::SizeOnly => {
-                self.kernel.engine.size_with_index(self.index, window).map(WindowReport::Size)
-            }
+            StreamMode::SizeOnly => self
+                .kernel
+                .engine
+                .size_with_index(self.kernel.index, window)
+                .map(WindowReport::Size),
             StreamMode::Explain => {
                 self.kernel.process(window_id, window).map(WindowReport::Explained)
             }
@@ -287,8 +288,7 @@ impl StreamingBatchExplainer {
         sink: impl FnMut(usize, Result<WindowReport, MocheError>) -> Option<WindowReport>,
     ) -> StreamSummary {
         let kernel = || StreamKernel {
-            kernel: ExplainKernel::new(self.cfg, Reference::Indexed(reference), preferences),
-            index: reference,
+            kernel: ExplainKernel::new(self.cfg, reference, preferences),
             mode: self.mode,
         };
         self.pipeline.run(None, kernel, feed, sink)

@@ -12,8 +12,12 @@ use moche_core::ks::KsConfig;
 use moche_core::moche::{ConstructionStrategy, Moche};
 use moche_core::phase1;
 use moche_core::preference::PreferenceList;
-use moche_core::MocheError;
+use moche_core::{
+    BatchExplainer, ExplainEngine, Explanation, ExplanationArena, MocheError, ReferenceIndex,
+    SortedReference, StreamingBatchExplainer, WindowReport,
+};
 use proptest::prelude::*;
+use std::cell::RefCell;
 
 /// Small integer-valued samples create plenty of ties, which is the hard
 /// case for the cumulative-vector machinery. The test set is drawn from a
@@ -35,6 +39,26 @@ fn small_instance() -> impl Strategy<Value = (Vec<f64>, Vec<f64>)> {
         })
 }
 
+/// [`small_instance`] moved down so the test range overlaps `0`, with
+/// every zero in either sample emitted as `-0.0` or `0.0` at random: the
+/// signed-zero ties that `-0.0 == 0.0` makes invisible to `PartialEq` but
+/// not to `total_cmp` sorts and splices.
+fn signed_zero_instance() -> impl Strategy<Value = (Vec<f64>, Vec<f64>)> {
+    let signed = |v: i32, negative: bool| if v == 0 && negative { -0.0 } else { f64::from(v) };
+    let value = (0i32..8, prop::bool::ANY);
+    (
+        proptest::collection::vec(value.clone(), 6..20),
+        proptest::collection::vec(value, 4..10),
+        1i32..5,
+    )
+        .prop_map(move |(r, t, shift)| {
+            (
+                r.into_iter().map(|(v, neg)| signed(v - 2, neg)).collect(),
+                t.into_iter().map(|(v, neg)| signed(v + shift - 4, neg)).collect(),
+            )
+        })
+}
+
 fn alphas() -> impl Strategy<Value = f64> {
     prop_oneof![Just(0.05), Just(0.1), Just(0.2), Just(0.25)]
 }
@@ -46,23 +70,70 @@ proptest! {
         ..ProptestConfig::default()
     })]
 
+    // The oracle net over every 1-D explain surface: the one-shot facade,
+    // the engine's indexed entry point (one arena reused across cases),
+    // batch at 1 and 3 threads, and the stream must each return the
+    // brute-force explanation.
     #[test]
-    fn moche_matches_brute_force((r, t) in small_instance(), alpha in alphas(), seed in 0u64..1000) {
+    fn moche_matches_brute_force(
+        (r, t) in prop_oneof![small_instance(), signed_zero_instance()],
+        alpha in alphas(),
+        seed in 0u64..1000,
+    ) {
+        thread_local! {
+            static ARENA: RefCell<ExplanationArena> = RefCell::new(ExplanationArena::new());
+        }
         let cfg = KsConfig::new(alpha).unwrap();
         let base = BaseVector::build(&r, &t).unwrap();
         prop_assume!(base.outcome(&cfg).rejected);
 
         let pref = PreferenceList::random(t.len(), seed);
-        let moche = Moche::new(alpha).unwrap();
-        let fast = moche.explain(&r, &t, &pref).unwrap();
         let slow = brute_force_explain(&r, &t, &cfg, &pref, BruteForceLimits::default()).unwrap();
+        let mut expected = slow.indices.clone();
+        expected.sort_unstable();
+        // Identical explanations: same size, same index set, and removing
+        // them reverses the test.
+        let check = |surface: &str, e: &Explanation| -> Result<(), TestCaseError> {
+            let mut got = e.indices().to_vec();
+            got.sort_unstable();
+            prop_assert_eq!(&got, &expected, "{} (pref = {:?})", surface, pref.as_order());
+            prop_assert_eq!(e.size(), expected.len(), "{}: k", surface);
+            prop_assert!(e.outcome_after.passes(), "{}: outcome_after", surface);
+            Ok(())
+        };
 
-        // Identical explanations: same size, same index set.
-        let mut a = fast.indices().to_vec();
-        let mut b = slow.indices.clone();
-        a.sort_unstable();
-        b.sort_unstable();
-        prop_assert_eq!(a, b, "pref = {:?}", pref.as_order());
+        check("Moche", &Moche::new(alpha).unwrap().explain(&r, &t, &pref).unwrap())?;
+
+        let index = ReferenceIndex::new(&r).unwrap();
+        let mut engine = ExplainEngine::new(alpha).unwrap();
+        ARENA.with(|arena| {
+            let mut arena = arena.borrow_mut();
+            let e = engine.explain_with_index_in(&index, &t, &pref, &mut arena).unwrap();
+            let checked = check("explain_with_index_in", &e);
+            arena.recycle(e);
+            checked
+        })?;
+
+        let shared = SortedReference::new(&r).unwrap();
+        let (windows, prefs) = ([t.clone()], [pref.clone()]);
+        for threads in [1, 3] {
+            let batch = BatchExplainer::new(alpha).unwrap().threads(threads);
+            let results = batch.explain_windows(&shared, &windows, Some(&prefs));
+            check(&format!("batch threads={threads}"), results[0].as_ref().unwrap())?;
+        }
+
+        let mut streamed = Vec::new();
+        let score = |_: usize, _: &[f64]| Ok(pref.clone());
+        StreamingBatchExplainer::new(alpha).unwrap().explain_stream(
+            &index,
+            windows.clone(),
+            Some(&score),
+            |res| streamed.push(res.result),
+        );
+        match streamed.as_slice() {
+            [Ok(WindowReport::Explained(e))] => check("stream", e)?,
+            other => prop_assert!(false, "stream: {:?}", other),
+        }
     }
 
     #[test]

@@ -9,7 +9,7 @@ use moche_core::batch::BatchExplainer;
 use moche_core::ks::KsConfig;
 use moche_core::moche::{ConstructionStrategy, Moche};
 use moche_core::preference::PreferenceList;
-use moche_core::{ExplainEngine, SortedReference};
+use moche_core::{ExplainEngine, ExplanationArena, ReferenceIndex, SortedReference};
 use proptest::prelude::*;
 
 /// Small integer-valued samples with a shift, so most instances fail the
@@ -54,11 +54,16 @@ proptest! {
         let reference = Moche::new(alpha).unwrap().construction(ConstructionStrategy::Reference);
         let expected = reference.explain(&r, &t, &pref).unwrap();
 
+        let index = ReferenceIndex::new(&r).unwrap();
         let mut engine = ExplainEngine::new(alpha).unwrap();
+        let mut arena = ExplanationArena::new();
         // Warm the workspace on an unrelated instance first: reuse must not
         // leak state between calls.
-        let _ = engine.explain(&r, &t, &PreferenceList::identity(t.len()));
-        let got = engine.explain(&r, &t, &pref).unwrap();
+        let identity = PreferenceList::identity(t.len());
+        if let Ok(warm) = engine.explain_with_index_in(&index, &t, &identity, &mut arena) {
+            arena.recycle(warm);
+        }
+        let got = engine.explain_with_index_in(&index, &t, &pref, &mut arena).unwrap();
 
         prop_assert_eq!(got.indices(), expected.indices());
         prop_assert_eq!(got.values(), expected.values());

@@ -1,18 +1,25 @@
 //! Equivalence properties for the indexed-reference paths: on random
 //! instances, base vectors spliced into a [`ReferenceIndex`], the Phase-1
 //! size `k`, the final explanations, and the streaming engine's output
-//! must all be byte-identical to the merged [`BaseVector::build`] path.
+//! must all be byte-identical to the paper's merged [`BaseVector::build`]
+//! path (the one-shot [`Moche`]).
 
 use moche_core::base_vector::BaseVector;
-use moche_core::batch::{BatchExplainer, ReferenceMode};
+use moche_core::batch::BatchExplainer;
 use moche_core::ks::KsConfig;
 use moche_core::moche::{ConstructionStrategy, Moche};
 use moche_core::preference::PreferenceList;
 use moche_core::{
-    ExplainEngine, ExplanationArena, IncrementalRefIndex, ReferenceIndex, SortedReference,
-    StreamMode, StreamingBatchExplainer, WindowReport,
+    ExplainEngine, ExplanationArena, IncrementalRefIndex, MocheError, RankSource, ReferenceIndex,
+    SortedReference, StreamMode, StreamingBatchExplainer, WindowReport,
 };
 use proptest::prelude::*;
+
+/// A fresh spliced base vector of `test` against `index`.
+fn splice<S: RankSource + ?Sized>(index: &S, test: &[f64]) -> Result<BaseVector, MocheError> {
+    let mut out = BaseVector::empty();
+    BaseVector::build_with_index_into_using(index, test, &mut out, &mut Vec::new()).map(|()| out)
+}
 
 /// Random samples with duplicates and overlap: integer-valued grids plus a
 /// shift, plus occasional fractional values so shared-and-disjoint value
@@ -46,14 +53,14 @@ proptest! {
         ..ProptestConfig::default()
     })]
 
-    // The tentpole invariant: `build_with_index` is byte-identical to the
-    // merged `build` on any valid input (no KS-failure assumption needed —
+    // The tentpole invariant: the splice is byte-identical to the merged
+    // `build` on any valid input (no KS-failure assumption needed —
     // this is pure construction).
     #[test]
     fn indexed_base_vector_is_byte_identical((r, t) in instance()) {
         let index = ReferenceIndex::new(&r).unwrap();
         let merged = BaseVector::build(&r, &t).unwrap();
-        let indexed = BaseVector::build_with_index(&index, &t).unwrap();
+        let indexed = splice(&index, &t).unwrap();
         prop_assert_eq!(&indexed, &merged);
         // PartialEq on f64 treats -0.0 == 0.0; pin the raw bits too.
         let bits = |b: &BaseVector| b.values().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
@@ -79,8 +86,8 @@ proptest! {
         prop_assert_eq!(got, expected);
     }
 
-    // Full explanations through the indexed engine path and the Indexed
-    // batch mode equal the paper-faithful Reference construction.
+    // Full explanations through the indexed engine path and the batch
+    // explainer equal the paper-faithful Reference construction.
     #[test]
     fn indexed_explanations_are_byte_identical(
         (r, t) in instance(),
@@ -97,7 +104,8 @@ proptest! {
 
         let index = ReferenceIndex::new(&r).unwrap();
         let mut engine = ExplainEngine::new(alpha).unwrap();
-        let got = engine.explain_with_index(&index, &t, &pref).unwrap();
+        let got = engine.explain_with_index_in(&index, &t, &pref, &mut ExplanationArena::new());
+        let got = got.unwrap();
         prop_assert_eq!(got.indices(), expected.indices());
         prop_assert_eq!(got.values(), expected.values());
         prop_assert_eq!(got.phase1, expected.phase1);
@@ -106,19 +114,15 @@ proptest! {
         let shared = SortedReference::new(&r).unwrap();
         let windows = [t.clone()];
         let prefs = [pref];
-        let batch = BatchExplainer::new(alpha)
-            .unwrap()
-            .threads(2)
-            .reference_mode(ReferenceMode::Indexed);
+        let batch = BatchExplainer::new(alpha).unwrap().threads(2);
         let results = batch.explain_windows(&shared, &windows, Some(&prefs));
         let batched = results[0].as_ref().unwrap();
         prop_assert_eq!(batched.indices(), expected.indices());
         prop_assert_eq!(&batched.phase1, &expected.phase1);
     }
 
-    // Arena-backed explains (recycled output buffers) are byte-identical
-    // to the allocating path, across every entry point and with the arena
-    // reused across calls.
+    // Arena-backed explains (recycled output buffers, arena and engine
+    // reused across calls) are byte-identical to the one-shot path.
     #[test]
     fn arena_explanations_are_byte_identical(
         (r, t) in instance(),
@@ -130,36 +134,24 @@ proptest! {
         prop_assume!(base.outcome(&cfg).rejected);
 
         let pref = PreferenceList::random(t.len(), seed);
-        let mut allocating = ExplainEngine::new(alpha).unwrap();
-        let expected_direct = allocating.explain(&r, &t, &pref).unwrap();
+        let expected = Moche::new(alpha).unwrap().explain(&r, &t, &pref).unwrap();
         let index = ReferenceIndex::new(&r).unwrap();
-        let expected_indexed = allocating.explain_with_index(&index, &t, &pref).unwrap();
-        let shared = SortedReference::new(&r).unwrap();
 
         let mut engine = ExplainEngine::new(alpha).unwrap();
         let mut arena = ExplanationArena::new();
-        // Two rounds: the second one runs entirely on recycled storage.
-        for round in 0..2 {
-            for (entry, expected) in [
-                (engine.explain_in(&r, &t, &pref, &mut arena), &expected_direct),
-                (
-                    engine.explain_with_reference_in(&shared, &t, &pref, &mut arena),
-                    &expected_direct,
-                ),
-                (engine.explain_with_index_in(&index, &t, &pref, &mut arena), &expected_indexed),
-            ] {
-                let got = entry.unwrap();
-                prop_assert_eq!(got.indices(), expected.indices(), "round {}", round);
-                // PartialEq on f64 treats -0.0 == 0.0; pin the raw bits.
-                let bits = |vs: &[f64]| vs.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-                prop_assert_eq!(bits(got.values()), bits(expected.values()));
-                prop_assert_eq!(&got.phase1, &expected.phase1);
-                prop_assert_eq!(&got.phase2, &expected.phase2);
-                prop_assert_eq!(&got.outcome_before, &expected.outcome_before);
-                prop_assert_eq!(&got.outcome_after, &expected.outcome_after);
-                prop_assert_eq!((got.n, got.m, got.q), (expected.n, expected.m, expected.q));
-                arena.recycle(got);
-            }
+        // Three rounds: the later ones run entirely on recycled storage.
+        for round in 0..3 {
+            let got = engine.explain_with_index_in(&index, &t, &pref, &mut arena).unwrap();
+            prop_assert_eq!(got.indices(), expected.indices(), "round {}", round);
+            // PartialEq on f64 treats -0.0 == 0.0; pin the raw bits.
+            let bits = |vs: &[f64]| vs.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            prop_assert_eq!(bits(got.values()), bits(expected.values()));
+            prop_assert_eq!(&got.phase1, &expected.phase1);
+            prop_assert_eq!(&got.phase2, &expected.phase2);
+            prop_assert_eq!(&got.outcome_before, &expected.outcome_before);
+            prop_assert_eq!(&got.outcome_after, &expected.outcome_after);
+            prop_assert_eq!((got.n, got.m, got.q), (expected.n, expected.m, expected.q));
+            arena.recycle(got);
         }
     }
 
@@ -321,7 +313,7 @@ proptest! {
         // And the materialized view feeds the splice like a sorted index.
         if !window.is_empty() {
             let test = [0.5, 2.0, 2.0, -0.0, 9.5];
-            let via_live = BaseVector::build_with_index(live.materialize().unwrap(), &test[..]);
+            let via_live = splice(live.materialize().unwrap(), &test[..]);
             let merged = BaseVector::build(&window, &test[..]);
             prop_assert_eq!(via_live.unwrap(), merged.unwrap());
         }

@@ -1,6 +1,6 @@
 //! The reusable 2-D explanation engine — the engine treatment of
 //! [`GreedyImpact2d`](crate::explain2d::GreedyImpact2d), mirroring
-//! `moche_core::MocheEngine` + `ExplanationArena`.
+//! `moche_core::ExplainEngine` + `ExplanationArena`.
 //!
 //! [`Explain2dEngine`] owns every piece of descent state ([`Scratch2d`]
 //! counts, rank and live-set buffers) and replays the naive
@@ -124,24 +124,10 @@ impl Explain2dEngine {
         &self.cfg
     }
 
-    /// Explains a failed 2-D KS test, allocating a fresh output.
-    ///
-    /// # Errors
-    ///
-    /// As for [`explain_in`](Self::explain_in).
-    pub fn explain(
-        &mut self,
-        index: &RankIndex2d,
-        test: &[Point2],
-        preference: Option<&PreferenceList>,
-    ) -> Result<Explanation2d, MocheError> {
-        let mut arena = Explanation2dArena::new();
-        self.explain_in(index, test, preference, &mut arena)
-    }
-
     /// Explains a failed 2-D KS test, drawing the output's storage from
-    /// `arena`. With a warm engine and a charged arena this performs no
-    /// heap allocation at all.
+    /// `arena` (a fresh [`Explanation2dArena::new`] for a one-off call).
+    /// With a warm engine and a charged arena this performs no heap
+    /// allocation at all.
     ///
     /// # Errors
     ///
@@ -306,7 +292,7 @@ mod tests {
         let naive = GreedyImpact2d.explain(&r, &t, &cfg, None).unwrap();
         let index = RankIndex2d::new(&r).unwrap();
         let mut engine = Explain2dEngine::with_config(cfg);
-        let fast = engine.explain(&index, &t, None).unwrap();
+        let fast = engine.explain_in(&index, &t, None, &mut Explanation2dArena::new()).unwrap();
         assert_eq!(fast.indices, naive.indices);
         assert_eq!(fast.outcome_after.statistic.to_bits(), naive.outcome_after.statistic.to_bits());
         assert_eq!(fast.outcome_after.p_value.to_bits(), naive.outcome_after.p_value.to_bits());
@@ -322,7 +308,8 @@ mod tests {
         let naive = GreedyImpact2d.explain(&r, &t, &cfg, Some(&pref)).unwrap();
         let index = RankIndex2d::new(&r).unwrap();
         let mut engine = Explain2dEngine::with_config(cfg);
-        let fast = engine.explain(&index, &t, Some(&pref)).unwrap();
+        let fast =
+            engine.explain_in(&index, &t, Some(&pref), &mut Explanation2dArena::new()).unwrap();
         assert_eq!(fast.indices, naive.indices);
     }
 
@@ -352,12 +339,15 @@ mod tests {
             Point2::new(1.0, f64::NEG_INFINITY),
         ] {
             let t = vec![Point2::new(0.0, 0.0), bad];
-            match engine.explain(&index, &t, None) {
+            match engine.explain_in(&index, &t, None, &mut Explanation2dArena::new()) {
                 Err(MocheError::NonFiniteValue { which: SetKind::Test, index: 1, .. }) => {}
                 other => panic!("unexpected {other:?}"),
             }
         }
-        assert!(matches!(engine.explain(&index, &[], None), Err(MocheError::EmptyTest)));
+        assert!(matches!(
+            engine.explain_in(&index, &[], None, &mut Explanation2dArena::new()),
+            Err(MocheError::EmptyTest)
+        ));
     }
 
     #[test]
@@ -367,12 +357,12 @@ mod tests {
         let mut engine = Explain2dEngine::with_config(cfg);
         assert!(ks2d_test(&r, &r, &cfg).unwrap().passes());
         assert!(matches!(
-            engine.explain(&index, &r, None),
+            engine.explain_in(&index, &r, None, &mut Explanation2dArena::new()),
             Err(MocheError::TestAlreadyPasses { .. })
         ));
         let pref = PreferenceList::identity(3);
         assert!(matches!(
-            engine.explain(&index, &t, Some(&pref)),
+            engine.explain_in(&index, &t, Some(&pref), &mut Explanation2dArena::new()),
             Err(MocheError::PreferenceLengthMismatch { .. })
         ));
     }
@@ -382,7 +372,8 @@ mod tests {
         let (r, t, cfg) = contaminated();
         let index = RankIndex2d::new(&r).unwrap();
         let mut engine = Explain2dEngine::with_config(cfg);
-        let explanation = engine.explain(&index, &t, None).unwrap();
+        let explanation =
+            engine.explain_in(&index, &t, None, &mut Explanation2dArena::new()).unwrap();
         let capacity = explanation.indices.capacity();
         let mut arena = Explanation2dArena::recycled_from(explanation);
         assert!(arena.has_storage());

@@ -121,8 +121,8 @@ proptest! {
         let naive = GreedyImpact2d.explain(&r, &t, &cfg, Some(&pref));
         let index = RankIndex2d::new(&r).unwrap();
         let mut engine = Explain2dEngine::with_config(cfg);
-        let fast = engine.explain(&index, &t, Some(&pref));
-        // The warm arena path must agree with the allocating path too.
+        let fast = engine.explain_in(&index, &t, Some(&pref), &mut Explanation2dArena::new());
+        // A reused arena must agree with a fresh one too.
         let mut arena = Explanation2dArena::new();
         let warm = engine.explain_in(&index, &t, Some(&pref), &mut arena);
         match (naive, fast, warm) {
@@ -161,7 +161,7 @@ proptest! {
         let index = RankIndex2d::new(&r).unwrap();
         let mut engine = Explain2dEngine::with_config(cfg);
         // NoExplanation instances have nothing to check.
-        if let Ok(e) = engine.explain(&index, &t, None) {
+        if let Ok(e) = engine.explain_in(&index, &t, None, &mut Explanation2dArena::new()) {
             prop_assert!(e.outcome_after.passes());
             for drop in 0..e.size() {
                 let still_removed: Vec<usize> = e
