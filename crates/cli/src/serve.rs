@@ -11,7 +11,8 @@
 //!                                   ▼
 //!   shard worker 0..N  — each owns one FleetShard outright:
 //!     push (never blocks on explains) → bounded explain queue →
-//!     drained when the ring is idle → periodic atomic checkpoints
+//!     one ticket answered whenever the ring is empty → periodic
+//!     atomic checkpoints
 //!                                   │ log lines (unbounded mpsc)
 //!                                   ▼
 //!              the calling thread: single writer pumping the log
@@ -73,13 +74,15 @@ use moche_stream::{
     shard_of, ExplainedAlarm, FleetConfig, FleetPush, FleetShard, FleetStats, MonitorConfig,
     MonitorFleet, SeriesStats,
 };
+use std::collections::VecDeque;
+use std::fmt::Write as _;
 use std::io::{self, ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 #[cfg(unix)]
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicI32, AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc::{self, Receiver, RecvTimeoutError, SyncSender};
+use std::sync::mpsc::{self, Receiver, SyncSender, TryRecvError};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -165,7 +168,8 @@ struct Limits {
 /// What a shard worker can be asked to do. Observations and queries share
 /// one ring so a query replies only after every earlier observation from
 /// the same connection was applied — the write barrier the soak harness
-/// relies on to read exact per-series offsets.
+/// relies on to read exact per-series offsets — and after every alarm its
+/// shard raised before the query was explained.
 enum WorkerMsg {
     Obs { series: u64, value: f64 },
     Query { series: u64, reply: mpsc::Sender<Option<SeriesStats>> },
@@ -393,8 +397,14 @@ pub fn run_serve(opts: &ServeOptions, out: &mut dyn Write) -> Result<RunStatus, 
     Ok(RunStatus { window_errors: 0, windows_explained: view.explained as usize, health })
 }
 
-/// One shard worker: drain the ring, answer queries in arrival order,
-/// explain when idle, checkpoint on cadence and once at the end.
+/// One shard worker: apply the ring's messages in arrival order and
+/// answer one queued alarm each time the ring is empty, so an explanation
+/// never waits behind idle time and never runs ahead of a queued
+/// observation. A query's reply is held until the tickets its shard owed
+/// when the query arrived are answered, which makes the reply a barrier
+/// for explanations as well as observations: a STATUS read after it
+/// counts every earlier alarm as explained or shed. Checkpoints on
+/// cadence and once at the end.
 fn worker_loop(
     mut shard: FleetShard,
     rx: Receiver<WorkerMsg>,
@@ -403,24 +413,45 @@ fn worker_loop(
     log: &mpsc::Sender<String>,
 ) {
     let mut last_checkpoint = shard.accepted();
+    // Tickets answered so far, and the held replies, each with the count
+    // it waits for (non-decreasing, because the explain queue is FIFO).
+    let mut answered = 0;
+    let mut held: VecDeque<(usize, mpsc::Sender<_>, _)> = VecDeque::new();
     loop {
-        match rx.recv_timeout(Duration::from_millis(25)) {
-            Ok(WorkerMsg::Obs { series, value }) => {
+        let msg = if shard.pending_explains() == 0 {
+            rx.recv().ok()
+        } else {
+            match rx.try_recv() {
+                Err(TryRecvError::Empty) => {
+                    answered += shard.drain_explains(1, |alarm| log_explained(alarm, log));
+                    while let Some((_, reply, stats)) =
+                        held.pop_front_if(|(due, ..)| *due <= answered)
+                    {
+                        let _ = reply.send(stats);
+                    }
+                    continue;
+                }
+                received => received.ok(),
+            }
+        };
+        match msg {
+            Some(WorkerMsg::Obs { series, value }) => {
                 apply_obs(&mut shard, series, value, log);
                 if dir.is_some() && shard.accepted() - last_checkpoint >= every {
                     checkpoint_now(&shard, dir, log);
                     last_checkpoint = shard.accepted();
                 }
             }
-            Ok(WorkerMsg::Query { series, reply }) => {
-                let _ = reply.send(shard.series_stats(series));
+            Some(WorkerMsg::Query { series, reply }) => {
+                let stats = shard.series_stats(series);
+                match shard.pending_explains() {
+                    0 => {
+                        let _ = reply.send(stats);
+                    }
+                    owed => held.push_back((answered + owed, reply, stats)),
+                }
             }
-            Err(RecvTimeoutError::Timeout) => {
-                // Idle: answer a few deferred alarms without ever keeping
-                // the ring waiting long.
-                shard.drain_explains(8, |alarm| log_explained(alarm, log));
-            }
-            Err(RecvTimeoutError::Disconnected) => break,
+            None => break,
         }
     }
     // Shutdown: answer everything still queued, then persist the shard.
@@ -461,12 +492,16 @@ fn apply_obs(shard: &mut FleetShard, series: u64, value: f64, log: &mpsc::Sender
 }
 
 fn log_explained(alarm: &ExplainedAlarm<'_>, log: &mpsc::Sender<String>) {
-    let mut line = format!("EXPLAIN series={} push={}", alarm.series, alarm.at_push);
+    // One allocation: the longest line (20-digit series, push and `k`,
+    // `after=`, `degraded=identity`) is 117 bytes. Writing into a `String`
+    // cannot fail.
+    let mut line = String::with_capacity(128);
+    let _ = write!(line, "EXPLAIN series={} push={}", alarm.series, alarm.at_push);
     if let Some(e) = alarm.explanation {
-        line.push_str(&format!(" k={} after={:.6}", e.indices().len(), e.outcome_after.statistic));
+        let _ = write!(line, " k={} after={:.6}", e.indices().len(), e.outcome_after.statistic);
     }
     if let Some(s) = alarm.size {
-        line.push_str(&format!(" k={} k_hat={}", s.k, s.k_hat));
+        let _ = write!(line, " k={} k_hat={}", s.k, s.k_hat);
     }
     if alarm.degraded {
         line.push_str(" degraded=identity");
@@ -1224,6 +1259,125 @@ mod tests {
             std::thread::sleep(Duration::from_millis(20));
         }
         panic!("STATUS {key} never reached {at_least}: {body}");
+    }
+
+    /// A ring that never goes quiet for long must not starve the explain
+    /// queue: the worker answers a queued alarm in the first gap between
+    /// two messages, not only once traffic pauses or the ring closes.
+    #[test]
+    fn busy_ring_does_not_starve_explains() {
+        let fleet =
+            MonitorFleet::new(FleetConfig::new(1, MonitorConfig::new(16, 0.05))).expect("fleet");
+        let (_, mut shards, stats) = fleet.into_shards();
+        let shard = shards.pop().expect("one shard");
+        let (tx, rx) = mpsc::sync_channel::<WorkerMsg>(256);
+        let (log_tx, log_rx) = mpsc::channel::<String>();
+        let worker = std::thread::spawn(move || worker_loop(shard, rx, None, u64::MAX, &log_tx));
+
+        // Series 9: a reference window at level 0, then a test window at
+        // level 30 — one alarm on the push that fills both windows.
+        for i in 0..32u64 {
+            let value = ((i * 13) % 11) as f64 + if i < 16 { 0.0 } else { 30.0 };
+            tx.send(WorkerMsg::Obs { series: 9, value }).unwrap();
+        }
+        // Then keep the ring busy for 300 ms with an observation every 2 ms
+        // for a constant series that never alarms. No query: a query's
+        // reply waits for the explanation, which would hide a starved
+        // queue.
+        let mut lines = Vec::new();
+        let started = Instant::now();
+        while started.elapsed() < Duration::from_millis(300) {
+            tx.send(WorkerMsg::Obs { series: 10, value: 1.0 }).unwrap();
+            lines.extend(log_rx.try_iter());
+            std::thread::sleep(Duration::from_millis(2));
+        }
+        let explained_while_busy =
+            lines.iter().any(|line| line == "EXPLAIN series=9 push=32 k=14 after=1.000000");
+
+        drop(tx);
+        worker.join().expect("worker exits");
+        lines.extend(log_rx.try_iter());
+        let view = stats.view();
+        assert!(
+            lines.iter().any(|line| line.starts_with("ALARM series=9 push=32")),
+            "series 9 alarms: {lines:?}"
+        );
+        assert!(explained_while_busy, "no EXPLAIN before the ring went quiet: {lines:?}");
+        assert_eq!(view.alarms, 1, "{view:?}");
+        assert_eq!(view.explained + view.explain_dropped, view.alarms, "{view:?}");
+    }
+
+    /// A query's reply is a barrier for explanations: every alarm its
+    /// shard raised before the query is explained (its `EXPLAIN` line
+    /// sent, its counter bumped) by the time the reply arrives, so a
+    /// client that reads STATUS next sees `explained + explain_dropped ==
+    /// alarms`.
+    #[test]
+    fn query_reply_waits_for_owed_explains() {
+        // A wide window, so the owed explanations take long enough (about
+        // 1 ms together) that a reply sent ahead of them is caught.
+        const W: u64 = 1000;
+        const SERIES: u64 = 4;
+        let monitor = MonitorConfig::new(W as usize, 0.05);
+        let fleet = MonitorFleet::new(FleetConfig::new(1, monitor)).expect("fleet");
+        let (_, mut shards, stats) = fleet.into_shards();
+        let shard = shards.pop().expect("one shard");
+        let (tx, rx) = mpsc::sync_channel::<WorkerMsg>((2 * W * SERIES + 1) as usize);
+        let (log_tx, log_rx) = mpsc::channel::<String>();
+
+        // Each series raises one alarm on its last push, and the query is
+        // queued right behind the last observation. All of it is in the
+        // ring before the worker starts, so the ring is never empty before
+        // the query and every ticket is owed when it arrives.
+        for series in 1..=SERIES {
+            for i in 0..2 * W {
+                let value = ((i * 13) % 11) as f64 + if i < W { 0.0 } else { 30.0 };
+                tx.send(WorkerMsg::Obs { series, value }).unwrap();
+            }
+        }
+        let (reply_tx, reply_rx) = mpsc::channel();
+        tx.send(WorkerMsg::Query { series: SERIES, reply: reply_tx }).unwrap();
+        let worker = std::thread::spawn(move || worker_loop(shard, rx, None, u64::MAX, &log_tx));
+        let reply = reply_rx.recv().expect("query answered").expect("series exists");
+        let view = stats.view();
+        let lines: Vec<String> = log_rx.try_iter().collect();
+
+        assert_eq!(reply.pushes, 2 * W);
+        assert_eq!(view.alarms, SERIES, "{view:?}");
+        assert_eq!(view.explained + view.explain_dropped, view.alarms, "{view:?}");
+        let explains = lines.iter().filter(|line| line.starts_with("EXPLAIN ")).count();
+        assert_eq!(explains as u64, SERIES, "{lines:?}");
+        drop(tx);
+        worker.join().expect("worker exits");
+    }
+
+    /// The `EXPLAIN` line's bytes are part of the log schema; clients
+    /// parse `k=`, `k_hat=`, `after=` and `degraded=identity`.
+    #[test]
+    fn explain_lines_keep_their_bytes() {
+        let (log_tx, log_rx) = mpsc::channel::<String>();
+        let outcome =
+            moche_core::KsOutcome { statistic: 0.9, threshold: 0.5, rejected: true, n: 8, m: 8 };
+        let size =
+            moche_core::SizeSearch { k: 3, k_hat: 2, theorem1_checks: 1, theorem2_checks: 1 };
+        let alarm = ExplainedAlarm {
+            series: u64::MAX,
+            at_push: 123,
+            outcome,
+            explanation: None,
+            size: Some(size),
+            degraded: true,
+        };
+        log_explained(&alarm, &log_tx);
+        log_explained(&ExplainedAlarm { size: None, degraded: false, ..alarm }, &log_tx);
+        let lines: Vec<String> = log_rx.try_iter().collect();
+        assert_eq!(
+            lines,
+            [
+                "EXPLAIN series=18446744073709551615 push=123 k=3 k_hat=2 degraded=identity",
+                "EXPLAIN series=18446744073709551615 push=123",
+            ]
+        );
     }
 
     /// End-to-end over a real TCP socket, in-process: push a drifting
