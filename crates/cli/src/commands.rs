@@ -17,8 +17,9 @@ use moche_core::{
 use moche_multidim::{
     Batch2dExplainer, Explanation2d, Point2, RankIndex2d, Stream2dExplainer, Stream2dResult,
 };
-use moche_sigproc::SpectralResidual;
+use moche_sigproc::{SaliencyScratch, SpectralResidual};
 use moche_stream::{DriftMonitor, MonitorConfig, MonitorEvent, MonitorSnapshot};
+use std::cell::RefCell;
 use std::io::Write;
 use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -230,9 +231,18 @@ fn run_size(r: &[f64], t: &[f64], alpha: f64, out: &mut dyn Write) -> Result<Run
     Ok(RunStatus::default())
 }
 
+thread_local! {
+    /// One Spectral Residual scratch and score buffer per thread, so a
+    /// `moche batch` worker recycles them across its windows instead of
+    /// allocating both (and rebuilding the FFT twiddle table) per window.
+    static SR_SCRATCH: RefCell<(SaliencyScratch, Vec<f64>)> = RefCell::default();
+}
+
 /// Derives one window's preference list from sources that need only the
 /// window values — the per-window score work `moche batch` runs *inside*
-/// the worker threads (see [`WindowPreferences::Scored`]).
+/// the worker threads (see [`WindowPreferences::Scored`]). A window SR
+/// cannot score (too short, non-finite, or overflowing the transform) is
+/// ranked in identity order and counted in `degraded`.
 ///
 /// # Panics
 ///
@@ -245,16 +255,22 @@ fn window_preference(
 ) -> Result<PreferenceList, MocheError> {
     match source {
         PreferenceSource::SpectralResidual => {
-            // SR panics on non-finite input; fall back to identity and let
-            // the explain call report the NonFiniteValue error properly.
+            // SR panics on non-finite input (the explain call then reports
+            // the NonFiniteValue error properly) and overflows on extreme
+            // finite input; either way the window falls back to identity.
             if t.len() >= 4 && t.iter().all(|v| v.is_finite()) {
-                let sr = SpectralResidual::default();
-                PreferenceList::from_scores_desc(&sr.scores(t))
-            } else {
-                // lint:allow(relaxed): monotonic stats counter; no cross-thread handoff rides on it
-                degraded.fetch_add(1, Ordering::Relaxed);
-                Ok(PreferenceList::identity(t.len()))
+                let scored = SR_SCRATCH.with_borrow_mut(|(scratch, scores)| {
+                    SpectralResidual::default()
+                        .scores_into(t, scratch, scores)
+                        .map(|()| PreferenceList::from_scores_desc(scores))
+                });
+                if let Ok(list) = scored {
+                    return list;
+                }
             }
+            // lint:allow(relaxed): monotonic stats counter; no cross-thread handoff rides on it
+            degraded.fetch_add(1, Ordering::Relaxed);
+            Ok(PreferenceList::identity(t.len()))
         }
         PreferenceSource::ValueDesc => PreferenceList::from_scores_desc(t),
         PreferenceSource::ValueAsc => PreferenceList::from_scores_asc(t),
@@ -272,12 +288,13 @@ fn build_preference(
     t: &[f64],
     scores_column: Option<Vec<f64>>,
     source: &PreferenceSource,
+    degraded: &AtomicUsize,
 ) -> Result<PreferenceList, CliError> {
     let list = match source {
         PreferenceSource::SpectralResidual
         | PreferenceSource::ValueDesc
         | PreferenceSource::ValueAsc
-        | PreferenceSource::Identity => window_preference(t, source, &AtomicUsize::new(0))?,
+        | PreferenceSource::Identity => window_preference(t, source, degraded)?,
         PreferenceSource::ScoreColumn => {
             let scores = scores_column.ok_or_else(|| {
                 CliError::Usage(
@@ -313,8 +330,11 @@ fn run_explain(
     out: &mut dyn Write,
 ) -> Result<RunStatus, CliError> {
     let moche = Moche::new(alpha)?;
-    let preference = build_preference(t, scores_column, source)?;
+    let degraded = AtomicUsize::new(0);
+    let preference = build_preference(t, scores_column, source, &degraded)?;
     let e = moche.explain(r, t, &preference)?;
+    let health =
+        HealthReport { degraded_preferences: degraded.into_inner(), ..HealthReport::default() };
 
     match format {
         OutputFormat::Csv => {
@@ -348,7 +368,12 @@ fn run_explain(
             }
         }
     }
-    Ok(RunStatus { window_errors: 0, windows_explained: 1, ..RunStatus::default() })
+    // A clean run keeps its familiar output; a degraded one says so.
+    if !health.is_clean() {
+        let prefix = if format == OutputFormat::Csv { "# " } else { "" };
+        writeln!(out, "{prefix}{}", health.summary())?;
+    }
+    Ok(RunStatus { window_errors: 0, windows_explained: 1, health })
 }
 
 /// Renders the requested thread cap for the summary line.
@@ -1183,6 +1208,42 @@ mod tests {
         assert!(clean.contains("health: 0 worker panic(s)"), "{clean}");
         assert!(!clean.contains("[DEGRADED]"), "{clean}");
         assert_eq!(clean_status.health, HealthReport::default());
+    }
+
+    #[test]
+    fn sr_overflow_is_a_degraded_preference_in_batch_and_explain() {
+        let (r, t) = shifted_sets();
+        // Finite but extreme values overflow the SR transform: the window
+        // is explained in identity order, and health says so.
+        let huge: Vec<f64> = t.iter().map(|&v| if v >= 8.0 { 1.5e308 } else { v }).collect();
+        let windows = vec![t, huge.clone()];
+        let opts = batch_opts(0.05, 1, &PreferenceSource::SpectralResidual, OutputFormat::Csv);
+        let (out, status) = capture(|o| run_batch(&r, &windows, &opts, o)).unwrap();
+        assert_eq!(status.health.degraded_preferences, 1);
+        assert_eq!(status.windows_explained, 2);
+        assert!(out.contains("1 degraded preference(s)"), "{out}");
+        let identity = batch_opts(0.05, 1, &PreferenceSource::Identity, OutputFormat::Csv);
+        let (id_out, _) =
+            capture(|o| run_batch(&r, std::slice::from_ref(&huge), &identity, o)).unwrap();
+        let rows = |csv: &str, prefix: &str| -> Vec<String> {
+            csv.lines().filter_map(|l| l.strip_prefix(prefix)).map(str::to_string).collect()
+        };
+        assert_eq!(rows(&out, "1,"), rows(&id_out, "0,"));
+
+        let (text, status) = capture(|o| {
+            run_explain(
+                &r,
+                &huge,
+                None,
+                0.05,
+                &PreferenceSource::SpectralResidual,
+                OutputFormat::Text,
+                o,
+            )
+        })
+        .unwrap();
+        assert_eq!(status.health.degraded_preferences, 1);
+        assert!(text.contains("1 degraded preference(s)") && text.contains("[DEGRADED]"), "{text}");
     }
 
     #[test]

@@ -169,6 +169,52 @@ fn batch_stream_matches_eager_batch() {
 }
 
 #[test]
+fn batch_sr_output_does_not_depend_on_the_thread_count() {
+    // Each worker recycles its own Spectral Residual scratch, so the
+    // windows it scored before differ with the thread count; the scores,
+    // and therefore the explanations, must not. Lengths 60, 1,000 and
+    // 10,000 pad to different FFT lengths, in an order that makes a worker
+    // score a short window after a long one.
+    let dir = TempDir::new("batch-sr-threads");
+    let mut state = 0x2545_f491_4f6c_dd1du64;
+    let mut unit = move || {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        (state >> 11) as f64 / (1u64 << 53) as f64
+    };
+    let mut noise = move || ((unit() + unit() + unit() - 1.5) * 1e4).round() / 1e4;
+    let r = dir.write("ref.txt", &numbers((0..2000).map(|_| noise())));
+    let content: String = [10_000usize, 60, 1000, 60, 10_000, 1000, 60]
+        .iter()
+        .map(|&m| {
+            let shifted = (m / 10).max(12);
+            let row: Vec<String> = (0..m)
+                .map(|i| (noise() + if i < shifted { 3.0 } else { 0.0 }).to_string())
+                .collect();
+            row.join(",") + "\n"
+        })
+        .collect();
+    let w = dir.write("wins.csv", &content);
+    let run = |threads: &str| {
+        let out = bin()
+            .args(["batch", r.to_str().unwrap(), w.to_str().unwrap(), "--format", "csv"])
+            .args(["--threads", threads])
+            .output()
+            .unwrap();
+        assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+        let stdout = String::from_utf8(out.stdout).unwrap();
+        stdout.lines().filter(|l| !l.starts_with('#')).map(String::from).collect::<Vec<_>>()
+    };
+    let one = run("1");
+    for window in 0..7 {
+        let prefix = format!("{window},");
+        assert!(one.iter().any(|l| l.starts_with(&prefix)), "window {window} has no rows");
+    }
+    assert_eq!(one, run("2"));
+}
+
+#[test]
 fn batch_size_only_reports_sizes() {
     let dir = TempDir::new("batch-size-only");
     let (r, w) = windows_file(&dir);

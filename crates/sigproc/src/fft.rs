@@ -1,10 +1,23 @@
 //! An iterative radix-2 Cooley-Tukey fast Fourier transform.
 //!
 //! Built as a substrate for the Spectral Residual saliency transform (which
-//! the paper uses to derive preference lists from time series). The
-//! implementation is the standard bit-reversal + butterfly scheme:
-//! `O(n log n)` time, in-place, power-of-two lengths, with helpers to pad
-//! real signals.
+//! the paper uses to derive preference lists from time series). One kernel
+//! does every transform: bit-reversal, then butterflies whose twiddle
+//! factors are read from a table of `exp(-2πik/n)`, `k < n/2`, each entry
+//! computed from its own angle (no `w = w * wlen` recurrence, so no
+//! accumulated rounding). `O(n log n)` time, in place, power-of-two
+//! lengths.
+//!
+//! A table built for length `N` also serves every smaller power of two `n`
+//! by reading every `N/n`-th entry; those entries are bit-identical to a
+//! table built for `n`, so a transform's result does not depend on which
+//! table served it. The Spectral Residual scratch keeps one table for the
+//! largest length it has seen.
+//!
+//! A real signal of padded length `n` is transformed through one complex
+//! FFT of length `n/2` (even samples as real parts, odd samples as
+//! imaginary parts) whose output is unpacked into the full spectrum in
+//! place ([`rfft`]).
 
 use crate::complex::Complex;
 
@@ -12,6 +25,38 @@ use crate::complex::Complex;
 #[inline]
 pub fn next_pow2(n: usize) -> usize {
     n.max(1).next_power_of_two()
+}
+
+/// Twiddle factors `exp(-2πik/N)`, `k < N/2`, for the largest transform
+/// length `N` the table has been asked to cover. Serves any power of two
+/// `n <= N` by stride `N/n` (see the module docs).
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Twiddles {
+    table: Vec<Complex>,
+}
+
+impl Twiddles {
+    /// Makes the table cover transforms of length `n` (a power of two): a
+    /// table that already does is left as it is, a smaller one is rebuilt
+    /// for `n` in its own buffer.
+    fn cover(&mut self, n: usize) {
+        let half = n / 2;
+        if self.table.len() >= half {
+            return;
+        }
+        self.table.clear();
+        self.table.extend(
+            (0..half).map(|k| {
+                Complex::from_polar(1.0, -2.0 * std::f64::consts::PI * k as f64 / n as f64)
+            }),
+        );
+    }
+
+    /// The table's capacity in entries.
+    #[cfg(test)]
+    pub(crate) fn capacity(&self) -> usize {
+        self.table.capacity()
+    }
 }
 
 /// In-place forward FFT. `buf.len()` must be a power of two.
@@ -22,7 +67,7 @@ pub fn next_pow2(n: usize) -> usize {
 ///
 /// Panics if the length is not a power of two.
 pub fn fft_in_place(buf: &mut [Complex]) {
-    transform(buf, false);
+    transform(buf, &mut Twiddles::default(), false);
 }
 
 /// In-place inverse FFT, normalized by `1/n` so that
@@ -32,19 +77,28 @@ pub fn fft_in_place(buf: &mut [Complex]) {
 ///
 /// Panics if the length is not a power of two.
 pub fn ifft_in_place(buf: &mut [Complex]) {
-    transform(buf, true);
-    let n = buf.len() as f64;
+    ifft_with(buf, &mut Twiddles::default());
+}
+
+/// [`ifft_in_place`] reading its twiddles from (and growing) `twiddles`.
+pub(crate) fn ifft_with(buf: &mut [Complex], twiddles: &mut Twiddles) {
+    transform(buf, twiddles, true);
+    // `1/n` is a power of two, so scaling by it is exactly division by n.
+    let inv_n = 1.0 / buf.len() as f64;
     for z in buf.iter_mut() {
-        *z = *z / n;
+        *z = z.scale(inv_n);
     }
 }
 
-fn transform(buf: &mut [Complex], inverse: bool) {
+/// The one FFT kernel: bit-reversal, then radix-2 butterflies with
+/// twiddles read by stride from `twiddles` (conjugated for the inverse).
+fn transform(buf: &mut [Complex], twiddles: &mut Twiddles, inverse: bool) {
     let n = buf.len();
     assert!(n.is_power_of_two(), "FFT length must be a power of two, got {n}");
     if n <= 1 {
         return;
     }
+    twiddles.cover(n);
 
     // Bit-reversal permutation.
     let bits = n.trailing_zeros();
@@ -55,23 +109,20 @@ fn transform(buf: &mut [Complex], inverse: bool) {
         }
     }
 
-    // Butterflies.
-    let sign = if inverse { 1.0 } else { -1.0 };
+    // Butterflies. Negating the imaginary part conjugates exactly.
+    let table = &twiddles.table;
+    let sign = if inverse { -1.0 } else { 1.0 };
     let mut len = 2usize;
     while len <= n {
-        let ang = sign * 2.0 * std::f64::consts::PI / len as f64;
-        let wlen = Complex::from_polar(1.0, ang);
-        let mut start = 0usize;
-        while start < n {
-            let mut w = Complex::ONE;
-            for k in 0..len / 2 {
-                let u = buf[start + k];
-                let v = buf[start + k + len / 2] * w;
-                buf[start + k] = u + v;
-                buf[start + k + len / 2] = u - v;
-                w = w * wlen;
+        let half = len / 2;
+        let stride = 2 * table.len() / len;
+        for block in buf.chunks_exact_mut(len) {
+            let (lo, hi) = block.split_at_mut(half);
+            for ((u, v), w) in lo.iter_mut().zip(hi.iter_mut()).zip(table.iter().step_by(stride)) {
+                let t = *v * Complex::new(w.re, sign * w.im);
+                *v = *u - t;
+                *u += t;
             }
-            start += len;
         }
         len <<= 1;
     }
@@ -81,21 +132,67 @@ fn transform(buf: &mut [Complex], inverse: bool) {
 /// Returns the full complex spectrum (length `next_pow2(x.len())`).
 pub fn rfft(x: &[f64]) -> Vec<Complex> {
     let mut buf = Vec::new();
-    rfft_into(x, &mut buf);
+    rfft_into(x.iter().copied(), &mut Twiddles::default(), &mut buf);
     buf
 }
 
-/// [`rfft`] into a caller-owned spectrum buffer: clears `buf`, loads the
-/// real signal, zero-pads to the next power of two and transforms in
-/// place. A warm buffer recomputes with zero heap allocations — the
-/// per-alarm shape of the Spectral Residual transform.
-pub fn rfft_into(x: &[f64], buf: &mut Vec<Complex>) {
-    let n = next_pow2(x.len());
+/// [`rfft`] of the samples `x` yields, into caller-owned buffers: `buf`
+/// receives the full spectrum and `twiddles` grows to cover its length.
+/// The samples are packed as `x[2j] + i·x[2j+1]` into one complex FFT of
+/// half the padded length `n`, whose output is unpacked in place, one
+/// pair of bins `(k, n/2 - k)` at a time. A warm pair of buffers
+/// recomputes with zero heap allocations.
+pub(crate) fn rfft_into(
+    x: impl IntoIterator<Item = f64>,
+    twiddles: &mut Twiddles,
+    buf: &mut Vec<Complex>,
+) {
+    let mut x = x.into_iter();
     buf.clear();
-    buf.reserve(n);
-    buf.extend(x.iter().map(|&v| Complex::real(v)));
+    buf.reserve(next_pow2(x.size_hint().0));
+    let mut len = 0usize;
+    while let Some(re) = x.next() {
+        let im = x.next();
+        len += 1 + usize::from(im.is_some());
+        buf.push(Complex::new(re, im.unwrap_or(0.0)));
+    }
+    let n = next_pow2(len);
     buf.resize(n, Complex::ZERO);
-    fft_in_place(buf);
+    if n == 1 {
+        // The spectrum of one sample is that sample.
+        return;
+    }
+    let m = n / 2;
+    twiddles.cover(n);
+    transform(&mut buf[..m], twiddles, false);
+
+    // With Z the half-length spectrum, the even and odd samples' spectra
+    // are E[k] = (Z[k] + conj Z[m-k]) / 2 and O[k] = (Z[k] - conj Z[m-k]) / 2i,
+    // and X[k] = E[k] + W^k O[k], X[k+m] = E[k] - W^k O[k] (W = e^{-2πi/n}).
+    // A real signal's spectrum is conjugate-symmetric, which fills the
+    // mirror bins X[n-k] and X[m-k].
+    let table = &twiddles.table;
+    let stride = 2 * table.len() / n;
+    let z0 = buf[0];
+    buf[0] = Complex::real(z0.re + z0.im);
+    buf[m] = Complex::real(z0.re - z0.im);
+    for k in 1..m / 2 {
+        let (a, b) = (buf[k], buf[m - k].conj());
+        let even = (a + b).scale(0.5);
+        let d = a - b;
+        let t = table[k * stride] * Complex::new(0.5 * d.im, -0.5 * d.re);
+        let (lo, hi) = (even + t, even - t);
+        buf[k] = lo;
+        buf[n - k] = lo.conj();
+        buf[m + k] = hi;
+        buf[m - k] = hi.conj();
+    }
+    if m >= 2 {
+        // The self-paired bin k = m/2, where W^k = -i: X[m/2] = conj Z[m/2].
+        let z = buf[m / 2];
+        buf[m / 2] = z.conj();
+        buf[m + m / 2] = z;
+    }
 }
 
 /// Inverse FFT returning only real parts, truncated to `out_len` samples.
@@ -230,13 +327,55 @@ mod tests {
     #[test]
     fn rfft_into_matches_rfft_and_recycles() {
         let x: Vec<f64> = (0..50).map(|i| (i as f64 * 0.37).sin() * 2.0).collect();
+        let mut twiddles = Twiddles::default();
         let mut buf = Vec::new();
-        rfft_into(&x, &mut buf);
+        rfft_into(x.iter().copied(), &mut twiddles, &mut buf);
         assert_eq!(buf, rfft(&x));
-        let cap = buf.capacity();
-        rfft_into(&x[..33], &mut buf); // same padded length (64)
+        let caps = (buf.capacity(), twiddles.capacity());
+        rfft_into(x[..33].iter().copied(), &mut twiddles, &mut buf); // same padded length (64)
         assert_eq!(buf, rfft(&x[..33]));
-        assert_eq!(buf.capacity(), cap, "warm rfft_into must reuse the buffer");
+        rfft_into(x[..9].iter().copied(), &mut twiddles, &mut buf); // smaller: table by stride
+        assert_eq!(buf, rfft(&x[..9]));
+        assert_eq!((buf.capacity(), twiddles.capacity()), caps, "warm rfft_into must reuse both");
+    }
+
+    #[test]
+    fn real_input_transform_matches_naive_dft_at_every_length() {
+        // n = 1, 2 and 4 are the edge cases of the packing (no pairs, no
+        // self-paired bin), and every n >= 4 has the self-pair k = n/4.
+        for bits in 0..=12 {
+            let n = 1usize << bits;
+            let x: Vec<f64> =
+                (0..n).map(|i| (i as f64 * 0.61).sin() + (i as f64 * 0.13).cos() * 0.5).collect();
+            let complex: Vec<Complex> = x.iter().map(|&v| Complex::real(v)).collect();
+            assert_close(&rfft(&x), &dft_naive(&complex), 1e-8);
+            // A padded length: the zeros past x.len() are packed too.
+            let short = &x[..n - n / 4];
+            let mut padded: Vec<Complex> = short.iter().map(|&v| Complex::real(v)).collect();
+            padded.resize(n, Complex::ZERO);
+            assert_close(&rfft(short), &dft_naive(&padded), 1e-8);
+        }
+    }
+
+    #[test]
+    fn strided_twiddles_equal_a_table_built_for_the_length() {
+        let mut big = Twiddles::default();
+        big.cover(1 << 12);
+        for bits in 1..12 {
+            let n = 1usize << bits;
+            let mut own = Twiddles::default();
+            own.cover(n);
+            let stride = (1usize << 12) / n;
+            let strided: Vec<u64> = big
+                .table
+                .iter()
+                .step_by(stride)
+                .flat_map(|z| [z.re.to_bits(), z.im.to_bits()])
+                .collect();
+            let direct: Vec<u64> =
+                own.table.iter().flat_map(|z| [z.re.to_bits(), z.im.to_bits()]).collect();
+            assert_eq!(strided, direct, "n = {n}");
+        }
     }
 
     #[test]

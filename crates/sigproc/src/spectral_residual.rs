@@ -18,25 +18,33 @@
 //!    `score(x) = (S(x) - avg) / avg` against a trailing average.
 
 use crate::complex::Complex;
-use crate::fft::{ifft_in_place, rfft_into};
-use crate::stats::{moving_average_into, trailing_average_into};
+use crate::fft::{ifft_with, rfft_into, Twiddles};
+use crate::stats::{moving_average_in_place, trailing_average_into};
 use std::fmt;
 
-/// Reusable scratch for the Spectral Residual transform: the FFT spectrum,
-/// the log-amplitude and smoothed planes, the rolling-average prefix sums
-/// and the saliency map. One scratch serves any series length; a warm
-/// scratch makes [`SpectralResidual::scores_into`] and
-/// [`SpectralResidual::saliency_into`] perform **zero** heap allocations —
-/// the per-alarm hot path of `moche_stream::DriftMonitor`.
+/// Reusable scratch for the Spectral Residual transform. It holds:
+///
+/// - the FFT twiddle table, built for the largest padded length seen and
+///   read by stride for every smaller one;
+/// - the spectrum (forward transform, then the residual inverse);
+/// - the log-amplitude plane, filtered in place into `h_q * log A(f)`;
+/// - the prefix sums behind both rolling averages;
+/// - the saliency map and its trailing average.
+///
+/// The series and its extrapolated tail are read straight into the
+/// transform, so there is no copy of the extended series. One scratch
+/// serves any series length, and results do not depend on what it served
+/// before. A warm scratch makes [`SpectralResidual::scores_into`] and
+/// [`SpectralResidual::saliency_into`] perform **zero** heap allocations:
+/// `moche_stream::DriftMonitor` keeps one per monitor, and `moche batch`
+/// one per worker thread.
 #[derive(Debug, Clone, Default)]
 pub struct SaliencyScratch {
-    /// The series plus its extrapolated tail.
-    extended: Vec<f64>,
+    /// FFT twiddle factors.
+    twiddles: Twiddles,
     /// FFT buffer (forward spectrum, then the residual inverse).
     spectrum: Vec<Complex>,
-    /// `log A(f)` plane.
-    log_amp: Vec<f64>,
-    /// `h_q * log A(f)` plane.
+    /// `log A(f)`, then `h_q * log A(f)`.
     smoothed: Vec<f64>,
     /// Prefix sums behind the rolling averages.
     prefix: Vec<f64>,
@@ -51,6 +59,25 @@ impl SaliencyScratch {
     /// ones of the same (or smaller) series length reuse every buffer.
     pub fn new() -> Self {
         Self::default()
+    }
+}
+
+/// Whether a bin's squared modulus takes the polar-free path: at or above
+/// the `1e-12` amplitude clamp, and finite. Other bins (clamped, or so
+/// large that `|z|²` overflows) keep the polar formulas.
+#[inline]
+fn polar_free(norm_sqr: f64) -> bool {
+    (1e-24..=f64::MAX).contains(&norm_sqr)
+}
+
+/// `ln max(|z|, 1e-12)`, as `½·ln|z|²` on the polar-free path.
+#[inline]
+fn log_amplitude(z: Complex) -> f64 {
+    let norm_sqr = z.norm_sqr();
+    if polar_free(norm_sqr) {
+        0.5 * norm_sqr.ln()
+    } else {
+        z.abs().max(1e-12).ln()
     }
 }
 
@@ -126,38 +153,30 @@ impl SpectralResidual {
         assert!(series.len() >= 4, "spectral residual needs at least 4 points");
         assert!(series.iter().all(|v| v.is_finite()), "series must be finite");
 
-        // Step 1: extend the tail with the SR paper's gradient extrapolation.
-        scratch.extended.clear();
-        scratch.extended.reserve(series.len() + self.extension);
-        scratch.extended.extend_from_slice(series);
-        if self.extension > 0 {
-            let est = self.estimate_next(series);
-            scratch.extended.extend(std::iter::repeat_n(est, self.extension));
-        }
+        // Steps 1–2: FFT (zero-padded to a power of two) of the series
+        // followed by its tail, extended by the SR paper's gradient
+        // extrapolation.
+        let tail = std::iter::repeat_n(self.estimate_next(series), self.extension);
+        rfft_into(series.iter().copied().chain(tail), &mut scratch.twiddles, &mut scratch.spectrum);
 
-        // Step 2: FFT (zero-padded to a power of two).
-        rfft_into(&scratch.extended, &mut scratch.spectrum);
-
-        // Step 3: log-amplitude residual.
-        scratch.log_amp.clear();
-        scratch.log_amp.reserve(scratch.spectrum.len());
-        scratch.log_amp.extend(scratch.spectrum.iter().map(|z| z.abs().max(1e-12).ln()));
-        moving_average_into(
-            &scratch.log_amp,
-            self.filter_window,
-            &mut scratch.prefix,
-            &mut scratch.smoothed,
-        );
-        // Step 4: rebuild with residual amplitude and original phase.
-        for (i, z) in scratch.spectrum.iter_mut().enumerate() {
-            let residual = scratch.log_amp[i] - scratch.smoothed[i];
-            let phase = z.arg();
-            *z = Complex::from_polar(residual.exp(), phase);
+        // Step 3: log-amplitude residual; the filter runs in place.
+        scratch.smoothed.clear();
+        scratch.smoothed.extend(scratch.spectrum.iter().map(|&z| log_amplitude(z)));
+        moving_average_in_place(&mut scratch.smoothed, self.filter_window, &mut scratch.prefix);
+        // Step 4: rebuild with residual amplitude and original phase. The
+        // residual is `ln|z| - s`, so `exp(residual)·e^{i arg z}` is
+        // `z·exp(-s)`; clamped bins keep the polar form.
+        for (z, &s) in scratch.spectrum.iter_mut().zip(&scratch.smoothed) {
+            *z = if polar_free(z.norm_sqr()) {
+                z.scale((-s).exp())
+            } else {
+                Complex::from_polar((log_amplitude(*z) - s).exp(), z.arg())
+            };
         }
-        ifft_in_place(&mut scratch.spectrum);
+        ifft_with(&mut scratch.spectrum, &mut scratch.twiddles);
         out.clear();
         out.reserve(series.len());
-        out.extend(scratch.spectrum[..series.len()].iter().map(|z| z.abs()));
+        out.extend(scratch.spectrum[..series.len()].iter().map(|z| z.norm_sqr().sqrt()));
     }
 
     /// Computes the per-point outlying score: relative deviation of the
@@ -344,6 +363,17 @@ mod tests {
         }
     }
 
+    fn capacities(scratch: &SaliencyScratch) -> [usize; 6] {
+        [
+            scratch.twiddles.capacity(),
+            scratch.spectrum.capacity(),
+            scratch.smoothed.capacity(),
+            scratch.prefix.capacity(),
+            scratch.saliency.capacity(),
+            scratch.trailing.capacity(),
+        ]
+    }
+
     #[test]
     fn warm_scratch_reuses_every_buffer() {
         let series = smooth_series(100);
@@ -351,30 +381,73 @@ mod tests {
         let mut scratch = SaliencyScratch::new();
         let mut out = Vec::new();
         sr.scores_into(&series, &mut scratch, &mut out).unwrap();
-        let caps = (
-            scratch.extended.capacity(),
-            scratch.spectrum.capacity(),
-            scratch.log_amp.capacity(),
-            scratch.smoothed.capacity(),
-            scratch.prefix.capacity(),
-            scratch.saliency.capacity(),
-            scratch.trailing.capacity(),
-            out.capacity(),
-        );
-        for _ in 0..5 {
-            sr.scores_into(&series, &mut scratch, &mut out).unwrap();
+        let caps = (capacities(&scratch), out.capacity());
+        for len in [100, 60, 17, 100] {
+            sr.scores_into(&series[..len], &mut scratch, &mut out).unwrap();
         }
-        let after = (
-            scratch.extended.capacity(),
-            scratch.spectrum.capacity(),
-            scratch.log_amp.capacity(),
-            scratch.smoothed.capacity(),
-            scratch.prefix.capacity(),
-            scratch.saliency.capacity(),
-            scratch.trailing.capacity(),
-            out.capacity(),
-        );
+        let after = (capacities(&scratch), out.capacity());
         assert_eq!(caps, after, "warm scores_into must not grow any buffer");
+    }
+
+    #[test]
+    fn scores_do_not_depend_on_what_the_scratch_served_before() {
+        let mut series = smooth_series(1000);
+        series[333] += 17.0;
+        let sr = SpectralResidual::default();
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let mut out = Vec::new();
+        for len in [1000usize, 700, 64, 5] {
+            let window = &series[..len];
+            sr.scores_into(window, &mut SaliencyScratch::new(), &mut out).unwrap();
+            let cold = bits(&out);
+            // Warm at the same padded length.
+            let mut same = SaliencyScratch::new();
+            sr.scores_into(window, &mut same, &mut out).unwrap();
+            sr.scores_into(window, &mut same, &mut out).unwrap();
+            assert_eq!(bits(&out), cold, "len {len}, warm at the same length");
+            // Warm at a larger length: the twiddle table serves by stride.
+            let mut larger = SaliencyScratch::new();
+            sr.scores_into(&series, &mut larger, &mut out).unwrap();
+            sr.scores_into(&smooth_series(5000), &mut larger, &mut out).unwrap();
+            sr.scores_into(window, &mut larger, &mut out).unwrap();
+            assert_eq!(bits(&out), cold, "len {len}, warm at a larger length");
+        }
+    }
+
+    #[test]
+    fn scratch_at_w10k_is_no_larger_than_the_extended_series_layout() {
+        // The layout this scratch replaced kept a copy of the extended
+        // series, the spectrum, separate log-amplitude and smoothed planes,
+        // the prefix sums, the saliency map and its trailing average.
+        let (w, n) = (10_000usize, 16_384usize);
+        let f64s = |count: usize| count * std::mem::size_of::<f64>();
+        let replaced =
+            f64s(w + 5) + n * std::mem::size_of::<Complex>() + f64s(2 * n + n + 1) + f64s(2 * w);
+        let mut scratch = SaliencyScratch::new();
+        let mut out = Vec::new();
+        SpectralResidual::default().scores_into(&smooth_series(w), &mut scratch, &mut out).unwrap();
+        let caps = capacities(&scratch);
+        let bytes = caps[0] * std::mem::size_of::<Complex>()
+            + caps[1] * std::mem::size_of::<Complex>()
+            + f64s(caps[2] + caps[3] + caps[4] + caps[5]);
+        assert!(bytes <= replaced, "scratch holds {bytes} B, the replaced layout {replaced} B");
+    }
+
+    #[test]
+    fn extreme_finite_series_score_like_their_unscaled_shape() {
+        // SR is scale-free: scaling a series shifts every log amplitude by
+        // the same constant, which the residual cancels. At 1e156 the
+        // spectrum's |z|² overflows, so those bins must take the polar
+        // path instead of breaking the transform down.
+        let mut series = smooth_series(64);
+        series[20] += 9.0;
+        let sr = SpectralResidual::default();
+        let scaled: Vec<f64> = series.iter().map(|v| v * 1e156).collect();
+        let mut out = Vec::new();
+        sr.scores_into(&scaled, &mut SaliencyScratch::new(), &mut out).unwrap();
+        for (a, b) in out.iter().zip(sr.scores(&series)) {
+            assert!((a - b).abs() <= 1e-9 * b.abs().max(1.0), "{a} vs {b}");
+        }
     }
 
     #[test]

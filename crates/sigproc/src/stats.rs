@@ -58,32 +58,30 @@ fn prefix_sums_into(xs: &[f64], prefix: &mut Vec<f64>) {
 /// the edges), matching the average filter `h_q(f)` of the Spectral Residual
 /// transform when applied to spectra.
 pub fn moving_average(xs: &[f64], w: usize) -> Vec<f64> {
-    let mut prefix = Vec::new();
-    let mut out = Vec::new();
-    moving_average_into(xs, w, &mut prefix, &mut out);
+    let mut out = xs.to_vec();
+    moving_average_in_place(&mut out, w, &mut Vec::new());
     out
 }
 
-/// [`moving_average`] writing into caller-owned buffers: `prefix` is an
-/// opaque scratch area (overwritten every call), `out` receives the
-/// averages. A warm `(prefix, out)` pair recomputes with zero heap
-/// allocations — the per-alarm shape of the Spectral Residual transform.
+/// [`moving_average`] overwriting `xs` with its averages: `prefix` is an
+/// opaque scratch area (overwritten every call). Warm buffers recompute
+/// with zero heap allocations — the per-alarm shape of the Spectral
+/// Residual transform, which filters its log spectrum in place.
 ///
 /// # Panics
 ///
 /// Panics if `w == 0`.
-pub fn moving_average_into(xs: &[f64], w: usize, prefix: &mut Vec<f64>, out: &mut Vec<f64>) {
+pub fn moving_average_in_place(xs: &mut [f64], w: usize, prefix: &mut Vec<f64>) {
     assert!(w >= 1, "window must be positive");
     let n = xs.len();
     let half = w / 2;
+    // The averages read only the prefix sums, so they may overwrite `xs`.
     prefix_sums_into(xs, prefix);
-    out.clear();
-    out.reserve(n);
-    out.extend((0..n).map(|i| {
+    for (i, x) in xs.iter_mut().enumerate() {
         let lo = i.saturating_sub(half);
         let hi = (i + half + 1).min(n);
-        (prefix[hi] - prefix[lo]) / (hi - lo) as f64
-    }));
+        *x = (prefix[hi] - prefix[lo]) / (hi - lo) as f64;
+    }
 }
 
 /// Trailing moving average: position `i` averages the `w` points ending at
@@ -96,8 +94,9 @@ pub fn trailing_average(xs: &[f64], w: usize) -> Vec<f64> {
     out
 }
 
-/// [`trailing_average`] writing into caller-owned buffers (see
-/// [`moving_average_into`] for the scratch contract).
+/// [`trailing_average`] writing into caller-owned buffers: `prefix` is an
+/// opaque scratch area, `out` receives the averages, and a warm pair
+/// recomputes with zero heap allocations.
 ///
 /// # Panics
 ///
@@ -277,16 +276,18 @@ mod tests {
         let mut prefix = Vec::new();
         let mut out = Vec::new();
         for w in [1usize, 2, 3, 7, 40, 100] {
-            moving_average_into(&xs, w, &mut prefix, &mut out);
+            out.clear();
+            out.extend_from_slice(&xs);
+            moving_average_in_place(&mut out, w, &mut prefix);
             assert_eq!(out, moving_average(&xs, w), "moving w = {w}");
             trailing_average_into(&xs, w, &mut prefix, &mut out);
             assert_eq!(out, trailing_average(&xs, w), "trailing w = {w}");
         }
         // Warm buffers must not grow on same-shape recomputation.
         let caps = (prefix.capacity(), out.capacity());
-        moving_average_into(&xs, 5, &mut prefix, &mut out);
+        moving_average_in_place(&mut out, 5, &mut prefix);
         trailing_average_into(&xs, 5, &mut prefix, &mut out);
-        assert_eq!((prefix.capacity(), out.capacity()), caps, "warm _into must reuse buffers");
+        assert_eq!((prefix.capacity(), out.capacity()), caps, "warm buffers must be reused");
     }
 
     #[test]
