@@ -199,9 +199,10 @@ pub fn evidence_suite(alloc_counter: Option<&dyn Fn() -> u64>) -> Vec<BenchRecor
 
     // The asymmetric construction workload: one large indexed reference,
     // small windows — the regime the ReferenceIndex splice exists for. The
-    // splice writes into recycled output buffers, so the per-window cost
-    // drops to the actual construction work; the sort buffer is fresh per
-    // call (1 allocation), as this entry has always measured.
+    // splice writes into recycled output buffers and sorts the window
+    // inside the recycled test-point map, so the per-window cost drops to
+    // the actual construction work and a warm call allocates nothing; the
+    // fresh (empty, never-allocated) sort buffer argument is not touched.
     let big_n = 100_000usize;
     let small_m = 1_000usize;
     eprintln!("[bench-json] base-vector construction (n = {big_n}, m = {small_m})...");

@@ -48,9 +48,10 @@ pub struct BaseVector {
 /// The shared-reference workload (one reference distribution monitored
 /// against thousands of test windows — see [`crate::batch`]) would re-sort
 /// and re-validate the same `R` for every window if it went through
-/// [`BaseVector::build`]. A `SortedReference` is that `O(n log n)` work
-/// done once: the validated input [`crate::batch::BatchExplainer`] takes,
-/// indexed in `O(n)` by [`crate::ReferenceIndex::from_sorted`].
+/// [`BaseVector::build`]. A `SortedReference` is that sort (an `O(n)`
+/// radix sort) and validation done once: the validated input
+/// [`crate::batch::BatchExplainer`] takes, indexed in `O(n)` by
+/// [`crate::ReferenceIndex::from_sorted`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct SortedReference {
     values: Vec<f64>,
@@ -69,7 +70,7 @@ impl SortedReference {
         }
         validate_finite(SetKind::Reference, reference)?;
         let mut values = reference.to_vec();
-        values.sort_unstable_by(f64::total_cmp);
+        crate::radix::sort_f64(&mut values, &mut Vec::new());
         Ok(Self { values })
     }
 

@@ -6,7 +6,7 @@
 //!
 //! * **the shared reference**, validated and sorted once
 //!   ([`SortedReference`]) and indexed once per call ([`ReferenceIndex`]),
-//!   so each window is spliced into it in `O(m log m + q_T log q_R)` plus
+//!   so each window is spliced into it in `O(m + q_T log(q_R / q_T))` plus
 //!   chunk copies instead of a `O((n + m) log(n + m))` merge;
 //! * **the preference vocabulary** ([`WindowPreferences`]), with score
 //!   callbacks evaluated inside the workers;

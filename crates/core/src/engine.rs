@@ -12,7 +12,8 @@
 //! [`explain_with_index_in`](ExplainEngine::explain_with_index_in), plus
 //! its Phase-1-only twin [`size_with_index`](ExplainEngine::size_with_index).
 //! Both splice each window into a precomputed [`ReferenceIndex`] and reuse
-//! the base vector, the sort buffer and a [`BoundsWorkspace`] across
+//! the base vector (whose test-point map the window is sorted in) and a
+//! [`BoundsWorkspace`] across
 //!
 //! * every Phase-1 `h` probe (the Theorem-2 binary search and the Theorem-1
 //!   linear scan are already streaming and `O(1)`-space),
@@ -76,10 +77,9 @@ pub struct ExplainEngine {
     ws: BoundsWorkspace,
     /// Recycled output of the indexed base-vector splice: steady-state
     /// calls rebuild it in place instead of reallocating the `O(n + m)`
-    /// arrays per window.
+    /// arrays per window. The splice sorts the window inside its
+    /// test-point map, so the engine keeps no sort buffer.
     base_scratch: Option<BaseVector>,
-    /// Recycled sort buffer for the window side of the indexed splice.
-    sort_scratch: Vec<f64>,
     /// Recycled per-value removal counts for the after-removal verification.
     counts_scratch: SubsetCounts,
 }
@@ -102,7 +102,6 @@ impl ExplainEngine {
             construction: ConstructionStrategy::default(),
             ws: BoundsWorkspace::new(),
             base_scratch: None,
-            sort_scratch: Vec::new(),
             counts_scratch: SubsetCounts::empty(0),
         }
     }
@@ -139,7 +138,7 @@ impl ExplainEngine {
     ///
     /// The window is spliced into the index
     /// ([`BaseVector::build_with_index_into_using`]) instead of re-merging
-    /// `R ∪ T`, and base vector, bounds, sort buffer, removal counts *and*
+    /// `R ∪ T`, and base vector, bounds, removal counts *and*
     /// the output vectors are all reused, so a warm `(engine, arena)` pair
     /// explains with zero heap allocations.
     ///
@@ -175,8 +174,8 @@ impl ExplainEngine {
         self.with_splice(index, test, |engine, base| engine.size_base(base))
     }
 
-    /// Splices `test` into `index` in the recycled base-vector and sort
-    /// buffers, runs `then` over the result and puts the buffers back.
+    /// Splices `test` into `index` in the recycled base vector, runs
+    /// `then` over the result and puts the base vector back.
     fn with_splice<S: RankSource + ?Sized, T>(
         &mut self,
         index: &S,
@@ -184,11 +183,11 @@ impl ExplainEngine {
         then: impl FnOnce(&mut Self, &BaseVector) -> Result<T, MocheError>,
     ) -> Result<T, MocheError> {
         let mut base = self.base_scratch.take().unwrap_or_else(BaseVector::empty);
-        let mut sort_scratch = std::mem::take(&mut self.sort_scratch);
+        // The splice never touches its sort buffer; an empty `Vec` does
+        // not allocate.
         let result =
-            BaseVector::build_with_index_into_using(index, test, &mut base, &mut sort_scratch)
+            BaseVector::build_with_index_into_using(index, test, &mut base, &mut Vec::new())
                 .and_then(|()| then(self, &base));
-        self.sort_scratch = sort_scratch;
         self.base_scratch = Some(base);
         result
     }

@@ -70,6 +70,7 @@ pub mod phase1;
 pub mod phase2;
 pub mod pipeline;
 pub mod preference;
+mod radix;
 pub mod ref_index;
 pub mod streaming;
 

@@ -7,6 +7,7 @@
 //! knowledge".
 
 use crate::error::{MocheError, PreferenceDefect};
+use crate::radix::{key, Radix, MAX_POSITIONS};
 
 /// A validated total order over the test points: `order[rank] = index`,
 /// with rank 0 the most preferred point.
@@ -68,19 +69,8 @@ impl PreferenceList {
     /// Returns [`MocheError::InvalidPreference`] if any score is NaN; the
     /// list is left unchanged.
     pub fn fill_from_scores_desc(&mut self, scores: &[f64]) -> Result<(), MocheError> {
-        if let Some(pos) = scores.iter().position(|s| s.is_nan()) {
-            return Err(MocheError::InvalidPreference {
-                reason: PreferenceDefect::NonFiniteScore(pos),
-            });
-        }
-        self.order.clear();
-        self.order.extend(0..scores.len());
-        // The index tie-break makes the comparator a strict total order
-        // (no two elements compare equal), so the allocation-free unstable
-        // sort is fully deterministic.
-        self.order
-            .sort_unstable_by(|&a, &b| scores[b].total_cmp(&scores[a]).then_with(|| a.cmp(&b)));
-        Ok(())
+        // The complemented key reverses `total_cmp` order.
+        self.fill_ranked(scores, |s| !key(s))
     }
 
     /// Rewrites this list from *ascending* scores; the recycled counterpart
@@ -92,15 +82,34 @@ impl PreferenceList {
     /// Returns [`MocheError::InvalidPreference`] if any score is NaN; the
     /// list is left unchanged.
     pub fn fill_from_scores_asc(&mut self, scores: &[f64]) -> Result<(), MocheError> {
+        self.fill_ranked(scores, key)
+    }
+
+    /// Rewrites this list as the indices of `scores` in ascending
+    /// `rank_key` order, ties by ascending index: one stable radix sort
+    /// from the identity order, inside the `m` slots of the order buffer.
+    fn fill_ranked(
+        &mut self,
+        scores: &[f64],
+        rank_key: impl Fn(f64) -> u64,
+    ) -> Result<(), MocheError> {
         if let Some(pos) = scores.iter().position(|s| s.is_nan()) {
             return Err(MocheError::InvalidPreference {
                 reason: PreferenceDefect::NonFiniteScore(pos),
             });
         }
+        let m = scores.len();
         self.order.clear();
-        self.order.extend(0..scores.len());
-        self.order
-            .sort_unstable_by(|&a, &b| scores[a].total_cmp(&scores[b]).then_with(|| a.cmp(&b)));
+        if m > MAX_POSITIONS {
+            // More points than half a `usize` can number (2^32 - 1 on
+            // 64-bit targets): the same order by comparison sort.
+            self.order.extend(0..m);
+            self.order.sort_unstable_by_key(|&i| (rank_key(scores[i]), i));
+            return Ok(());
+        }
+        self.order.resize(m, 0);
+        let radix = Radix::new(scores.iter().map(|&s| rank_key(s)));
+        radix.sort_positions(&mut self.order, |i| rank_key(scores[i]));
         Ok(())
     }
 

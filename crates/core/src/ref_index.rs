@@ -12,11 +12,14 @@
 //!
 //! [`BaseVector::build_with_index_into_using`] — the one per-window builder
 //! behind [`crate::ExplainEngine::explain_with_index_in`] and therefore
-//! every batch, stream, monitor and fleet explanation — runs in
-//! `O(m log m)` to sort the window, `O(q_T log q_R)` to locate the splice points, and copies the
-//! untouched reference runs between them with `memcpy`-style chunk copies
-//! instead of a per-element merge loop — the dominant `O(n)` term loses
-//! its branch-per-element constant. The result is **byte-identical** to
+//! every batch, stream, monitor and fleet explanation — radix-sorts the
+//! window's positions in `O(m)`, gallops to each splice point in
+//! `O(log d)` for a point `d` reference values ahead (`O(q_T log(q_R /
+//! q_T))` in all), writes each test point's base-vector index during the
+//! merge, and copies the untouched reference runs between splice points
+//! with `memcpy`-style chunk copies instead of a per-element merge loop —
+//! the dominant `O(n)` term loses its branch-per-element constant. The
+//! result is **byte-identical** to
 //! [`BaseVector::build`] (enforced by `tests/proptest_indexed.rs`), so
 //! every downstream phase (bounds, Phase 1, Phase 2) is oblivious to which
 //! path built the base vector.
@@ -24,6 +27,7 @@
 use crate::base_vector::{BaseVector, SortedReference};
 use crate::error::{MocheError, SetKind};
 use crate::ks::validate_finite;
+use crate::radix::{key, sort_f64, Radix};
 
 mod sealed {
     /// Seals [`super::RankSource`]: the splice consumes the crate-internal
@@ -75,8 +79,8 @@ impl RankSource for ReferenceIndex {
 /// A reference sample preprocessed for repeated base-vector builds: the
 /// distinct sorted values of `R` and their cumulative counts.
 ///
-/// Build once per reference (`O(n log n)`), then splice per-window base
-/// vectors into it with [`BaseVector::build_with_index_into_using`].
+/// Build once per reference (an `O(n)` radix sort), then splice per-window
+/// base vectors into it with [`BaseVector::build_with_index_into_using`].
 /// Shareable read-only across worker threads (see [`crate::batch`] and
 /// [`crate::streaming`]).
 ///
@@ -135,8 +139,13 @@ impl ReferenceIndex {
             return Err(MocheError::EmptyReference);
         }
         validate_finite(SetKind::Reference, &reference)?;
-        reference.sort_unstable_by(f64::total_cmp);
-        Ok(Self::from_sorted_values(&reference))
+        // The sort's second buffer becomes the distinct-value buffer, which
+        // the fill sizes for `n` values anyway.
+        let mut distinct = Vec::new();
+        sort_f64(&mut reference, &mut distinct);
+        let mut index = Self { distinct, cum_f64: Vec::new(), n: 0 };
+        index.fill_from_sorted_values(&reference);
+        Ok(index)
     }
 
     /// Indexes an already-validated [`SortedReference`] in `O(n)`.
@@ -195,7 +204,9 @@ impl ReferenceIndex {
         validate_finite(SetKind::Reference, reference)?;
         sort_scratch.clear();
         sort_scratch.extend_from_slice(reference);
-        sort_scratch.sort_unstable_by(f64::total_cmp);
+        // The distinct-value buffer is the sort's second buffer: the fill
+        // below overwrites it, and it already holds `n` values when warm.
+        sort_f64(sort_scratch, &mut self.distinct);
         self.fill_from_sorted_values(sort_scratch);
         Ok(())
     }
@@ -244,14 +255,19 @@ impl BaseVector {
     /// (canonically a [`ReferenceIndex`]) into `out`, splicing the window's
     /// distinct values into the source instead of re-merging `R ∪ T`.
     ///
-    /// `O(m log m + q_T log q_R)` plus chunk copies of the reference runs;
-    /// the result is byte-identical to [`BaseVector::build`] on the same
-    /// inputs. The splice writes into `out`'s existing buffers (start from
-    /// [`BaseVector::empty`] or any previous build) and sorts the window in
-    /// the caller-owned `sort_scratch`, whose contents are overwritten on
-    /// every call. A caller looping over windows of similar size therefore
-    /// pays the page faults of the `O(n + m)` arrays once instead of per
-    /// window, and a warm caller rebuilds with **zero** heap allocations.
+    /// `O(m + q_T log(q_R / q_T))` plus chunk copies of the reference runs:
+    /// the window's positions are radix-sorted by value in `O(m)`, the
+    /// merge writes each duplicate run's base-vector index straight into
+    /// the test-point map, and each splice point is found by galloping from
+    /// the previous one. The result is byte-identical to
+    /// [`BaseVector::build`] on the same inputs. The splice writes into
+    /// `out`'s existing buffers (start from [`BaseVector::empty`] or any
+    /// previous build); the sort runs in the two halves of the test-point
+    /// map's own allocation (16 bytes per window point), so `_sort_scratch`
+    /// is neither read nor written. A caller looping over windows of
+    /// similar size therefore pays the page faults of the `O(n + m)` arrays
+    /// once instead of per window, and a warm caller rebuilds with **zero**
+    /// heap allocations.
     ///
     /// # Errors
     ///
@@ -261,7 +277,7 @@ impl BaseVector {
         index: &S,
         test: &[f64],
         out: &mut Self,
-        sort_scratch: &mut Vec<f64>,
+        _sort_scratch: &mut Vec<f64>,
     ) -> Result<(), MocheError> {
         if test.is_empty() {
             return Err(MocheError::EmptyTest);
@@ -275,44 +291,48 @@ impl BaseVector {
         values.clear();
         c_r_f64.clear();
         c_t_f64.clear();
+
+        // Sort the window's positions by value in the two halves of
+        // `t_pos`, starting in the half that makes the permutation end in
+        // the upper one; the merge then fills the lower half with each
+        // point's base-vector index.
+        let m = test.len();
+        let radix = Radix::new(test.iter().map(|&v| key(v)));
         t_pos.clear();
-        sort_scratch.clear();
-        sort_scratch.extend_from_slice(test);
-        sort_scratch.sort_unstable_by(f64::total_cmp);
-        let t_sorted: &[f64] = sort_scratch;
+        t_pos.extend((0..m).chain(0..m));
+        let (t_index, sorted) = t_pos.split_at_mut(m);
+        if radix.ends_in_back() {
+            radix.sort(t_index, sorted, |p| key(test[p]));
+        } else {
+            radix.sort(sorted, t_index, |p| key(test[p]));
+        }
 
         let distinct = index.distinct();
         let cum_f64 = index.cum_f64();
-        values.reserve(distinct.len() + test.len());
-        c_r_f64.reserve(distinct.len() + test.len() + 1);
-        c_t_f64.reserve(distinct.len() + test.len() + 1);
+        values.reserve(distinct.len() + m);
+        c_r_f64.reserve(distinct.len() + m + 1);
+        c_t_f64.reserve(distinct.len() + m + 1);
         c_r_f64.push(0.0f64);
         c_t_f64.push(0.0f64);
 
         let mut rpos = 0usize; // next reference-distinct index to emit
-        let mut consumed_t = 0u64;
         let mut gi = 0usize;
-        while gi < t_sorted.len() {
+        while gi < m {
             // One distinct test value per iteration; its representative is
             // the first element of the duplicate run, as in the merge.
-            let tv = t_sorted[gi];
-            let mut ge = gi + 1;
-            while ge < t_sorted.len() && t_sorted[ge] <= tv {
-                ge += 1;
-            }
+            let tv = test[sorted[gi]];
 
             // Copy the run of reference values strictly below tv as one
             // chunk: values and the C_R plane are memcpys of the
             // precomputed arrays, the C_T plane is a constant fill.
-            let splice = rpos + distinct[rpos..].partition_point(|&u| u < tv);
+            let splice = gallop_below(distinct, rpos, tv);
             if splice > rpos {
                 values.extend_from_slice(&distinct[rpos..splice]);
                 c_r_f64.extend_from_slice(&cum_f64[rpos + 1..splice + 1]);
-                c_t_f64.resize(c_t_f64.len() + (splice - rpos), consumed_t as f64);
+                c_t_f64.resize(c_t_f64.len() + (splice - rpos), gi as f64);
                 rpos = splice;
             }
 
-            consumed_t += (ge - gi) as u64;
             if rpos < distinct.len() && distinct[rpos] == tv {
                 // Shared value: same min-of-heads selection as the merge
                 // (only observable for signed zeros).
@@ -321,8 +341,18 @@ impl BaseVector {
             } else {
                 values.push(tv);
             }
+
+            // Every point of the duplicate run (grouped with float `<=`, so
+            // signed zeros collapse) maps to the value just pushed.
+            let at = values.len();
+            t_index[sorted[gi]] = at;
+            let mut ge = gi + 1;
+            while ge < m && test[sorted[ge]] <= tv {
+                t_index[sorted[ge]] = at;
+                ge += 1;
+            }
             c_r_f64.push(cum_f64[rpos]);
-            c_t_f64.push(consumed_t as f64);
+            c_t_f64.push(ge as f64);
             gi = ge;
         }
 
@@ -331,18 +361,33 @@ impl BaseVector {
             let run = distinct.len() - rpos;
             values.extend_from_slice(&distinct[rpos..]);
             c_r_f64.extend_from_slice(&cum_f64[rpos + 1..]);
-            c_t_f64.resize(c_t_f64.len() + run, consumed_t as f64);
+            c_t_f64.resize(c_t_f64.len() + run, m as f64);
         }
+        t_pos.truncate(m);
 
-        t_pos.extend(test.iter().map(|&v| {
-            let lt = values.partition_point(|&u| u < v);
-            debug_assert!(values[lt] == v);
-            lt + 1
-        }));
-
-        *out = Self::from_raw_parts(buffers, index.n(), test.len());
+        *out = Self::from_raw_parts(buffers, index.n(), m);
         Ok(())
     }
+}
+
+/// The first index `j >= from` with `distinct[j] >= v` (or
+/// `distinct.len()`), found by galloping: probe `from`, `from + 1`,
+/// `from + 3`, ... until a value reaches `v`, then binary-search the last
+/// gap. `O(log d)` for a splice point `d` places ahead, so a window whose
+/// values interleave the reference's pays `O(1)` per distinct value.
+fn gallop_below(distinct: &[f64], from: usize, v: f64) -> usize {
+    let rest = &distinct[from..];
+    if rest.first().is_none_or(|&u| u >= v) {
+        return from;
+    }
+    // Invariant: rest[lo] < v, and rest[hi] >= v unless hi is past the end.
+    let (mut lo, mut hi) = (0usize, 1usize);
+    while hi < rest.len() && rest[hi] < v {
+        lo = hi;
+        hi = 2 * hi + 1;
+    }
+    let hi = hi.min(rest.len());
+    from + lo + 1 + rest[lo + 1..hi].partition_point(|&u| u < v)
 }
 
 /// Treap arena index.
@@ -378,8 +423,8 @@ struct MultisetNode {
 /// `tests/proptest_indexed.rs`.
 ///
 /// The drift monitor does not use it: an alarm re-sorts its captured
-/// reference window with [`ReferenceIndex::rebuild_from`] (`O(w log w)`
-/// per alarm) instead of paying `O(log w)` on every push and a second
+/// reference window with [`ReferenceIndex::rebuild_from`] (an `O(w)` radix
+/// sort per alarm) instead of paying `O(log w)` on every push and a second
 /// per-series copy of the window.
 ///
 /// # Examples

@@ -8,8 +8,8 @@
 //!
 //! The counter is process-global and libtest runs sibling test threads
 //! concurrently (whose harness activity would pollute a measurement
-//! window), so this binary contains exactly ONE #[test]: the three gates
-//! run as sequential phases inside it.
+//! window), so this binary contains exactly ONE #[test]: the gates run as
+//! sequential phases inside it.
 
 use moche_core::{
     ExplainEngine, ExplanationArena, PreferenceList, ReferenceIndex, ScoreIntoFn,
@@ -79,6 +79,7 @@ fn zero_allocation_gates_run_sequentially() {
     warm_indexed_arena_explain_allocates_nothing();
     scored_stream_allocates_nothing_when_warm();
     identity_stream_allocates_nothing_when_warm_single_core();
+    warm_ranking_and_reference_rebuild_allocate_nothing();
 }
 
 fn warm_indexed_arena_explain_allocates_nothing() {
@@ -163,4 +164,37 @@ fn identity_stream_allocates_nothing_when_warm_single_core() {
         "single-core streaming steady state must stay allocation-free \
          (short run: {allocs_short}, long run: {allocs_long})"
     );
+}
+
+/// The two radix sorts outside the splice: ranking a window's scores into
+/// a recycled [`PreferenceList`] (which sorts in its own buffer) and
+/// re-sorting a reference into a recycled [`ReferenceIndex`] (which sorts
+/// in the caller's scratch and its own distinct-value buffer).
+fn warm_ranking_and_reference_rebuild_allocate_nothing() {
+    let (reference, windows) = failing_setup();
+    let mut pref = PreferenceList::identity(0);
+    let mut index = ReferenceIndex::new(&reference).unwrap();
+    let mut sort_scratch = Vec::new();
+    let mut round = || {
+        for w in &windows {
+            pref.fill_from_scores_desc(w).unwrap();
+            pref.fill_from_scores_asc(w).unwrap();
+        }
+        for shift in 0..4 {
+            index.rebuild_from(&reference[shift..], &mut sort_scratch).unwrap();
+        }
+    };
+    round(); // warm: both buffers grow to the working size once
+    let mut allocated = u64::MAX;
+    for _ in 0..3 {
+        let before = allocations();
+        for _ in 0..3 {
+            round();
+        }
+        allocated = allocations() - before;
+        if allocated == 0 {
+            break;
+        }
+    }
+    assert_eq!(allocated, 0, "warm rankings and reference rebuilds must not allocate");
 }

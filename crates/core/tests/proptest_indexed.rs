@@ -42,6 +42,62 @@ fn instance() -> impl Strategy<Value = (Vec<f64>, Vec<f64>)> {
         })
 }
 
+/// Finite values at the edges of the `total_cmp` key the splice's radix
+/// sort runs on: signed zeros, subnormals, `±f64::MAX`,
+/// `f64::MIN_POSITIVE`, and ulp neighbours of these and of `±1`.
+fn edge_value() -> impl Strategy<Value = f64> {
+    let up = |v: f64| f64::from_bits(v.to_bits() + 1);
+    let down = |v: f64| f64::from_bits(v.to_bits() - 1);
+    let pool = vec![
+        0.0,
+        -0.0,
+        f64::from_bits(1),
+        -f64::from_bits(1),
+        f64::from_bits(2),
+        down(f64::MIN_POSITIVE),
+        -down(f64::MIN_POSITIVE),
+        f64::MIN_POSITIVE,
+        -f64::MIN_POSITIVE,
+        up(f64::MIN_POSITIVE),
+        f64::MAX,
+        -f64::MAX,
+        down(f64::MAX),
+        -down(f64::MAX),
+        1.0,
+        up(1.0),
+        down(1.0),
+        -1.0,
+        -up(1.0),
+        2.5,
+        -2.5,
+    ];
+    (0..pool.len()).prop_map(move |i| pool[i])
+}
+
+/// A dense grid with hundreds of distinct values, mixed with edge values:
+/// a reference of this shape makes the splice gallop far.
+fn grid_or_edge_value() -> impl Strategy<Value = f64> {
+    prop_oneof![(-400i32..400).prop_map(|k| f64::from(k) * 0.01), edge_value()]
+}
+
+/// Adversarial splice inputs: edge values everywhere, all-equal windows
+/// (every radix pass skipped), all-negative samples, windows of length 1
+/// and 2, and windows much larger and much smaller than the reference (so
+/// galloping runs both short and long).
+fn adversarial_instance() -> impl Strategy<Value = (Vec<f64>, Vec<f64>)> {
+    use proptest::collection::vec;
+    let negative = |vs: Vec<f64>| vs.into_iter().map(|v: f64| -v.abs()).collect::<Vec<_>>();
+    prop_oneof![
+        (vec(edge_value(), 1..40), vec(edge_value(), 1..40)),
+        (vec(edge_value(), 1..40), edge_value(), 1usize..50).prop_map(|(r, v, m)| (r, vec![v; m])),
+        (vec(edge_value(), 1..40), vec(edge_value(), 1..40))
+            .prop_map(move |(r, t)| (negative(r), negative(t))),
+        (vec(grid_or_edge_value(), 1..40), vec(edge_value(), 1..3)),
+        (vec(edge_value(), 1..4), vec(grid_or_edge_value(), 40..200)),
+        (vec(grid_or_edge_value(), 200..600), vec(grid_or_edge_value(), 1..5)),
+    ]
+}
+
 fn alphas() -> impl Strategy<Value = f64> {
     prop_oneof![Just(0.05), Just(0.1), Just(0.2), Just(0.25)]
 }
@@ -68,6 +124,31 @@ proptest! {
         // And the index's rank query agrees with the cumulative counts.
         for (i, &v) in merged.values().iter().enumerate() {
             prop_assert_eq!(index.rank(v), merged.c_r(i + 1));
+        }
+    }
+
+    // The same on adversarial floats, and into a base vector recycled from
+    // a different window: values bit for bit, both cumulative planes and
+    // every test point's base-vector index.
+    #[test]
+    fn indexed_base_vector_is_byte_identical_on_edge_floats(
+        (r, t) in adversarial_instance(),
+        (_, previous) in adversarial_instance(),
+    ) {
+        let index = ReferenceIndex::new(&r).unwrap();
+        let merged = BaseVector::build(&r, &t).unwrap();
+        let mut recycled = splice(&index, &previous).unwrap();
+        BaseVector::build_with_index_into_using(&index, &t, &mut recycled, &mut Vec::new())
+            .unwrap();
+        let bits = |b: &BaseVector| b.values().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        for indexed in [splice(&index, &t).unwrap(), recycled] {
+            prop_assert_eq!(bits(&indexed), bits(&merged));
+            prop_assert_eq!(indexed.c_r_plane(), merged.c_r_plane());
+            prop_assert_eq!(indexed.c_t_plane(), merged.c_t_plane());
+            for i in 0..t.len() {
+                prop_assert_eq!(indexed.test_point_index(i), merged.test_point_index(i));
+            }
+            prop_assert_eq!(&indexed, &merged);
         }
     }
 

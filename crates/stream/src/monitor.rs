@@ -11,8 +11,9 @@
 //! Each series keeps one KS treap over both windows: a slide is three
 //! `O(log w)` treap updates and the decision is `O(1)`; warm-up only
 //! appends to the windows, and the treap is loaded once they are full. An
-//! alarm copies the window pair, sorts the reference into a
-//! [`ReferenceIndex`] and explains against it — `O(w log w)` plus the
+//! alarm copies the window pair, radix-sorts the reference into a
+//! [`ReferenceIndex`] and explains against it — `O(w)` for the sorts and
+//! the splice, `O(w log w)` for the Spectral-Residual FFT, plus the
 //! explanation construction itself, with **zero** heap allocations once
 //! warm (gated by `tests/alloc_count.rs`).
 //! Bad input never panics the monitor: route untrusted streams through
@@ -769,9 +770,9 @@ impl DriftMonitor {
     /// for a dashboard). Returns `None` while the windows are still
     /// warming, or when the KS test currently passes (nothing to explain).
     ///
-    /// The windows are copied and the reference sorted into a
-    /// [`ReferenceIndex`] (`O(w log w)`), the base-vector splice is
-    /// `O(m log w)` plus chunk copies, and every buffer — window copies,
+    /// The windows are copied and the reference radix-sorted into a
+    /// [`ReferenceIndex`] (`O(w)`), the base-vector splice is `O(m)` plus
+    /// galloping and chunk copies, and every buffer — window copies,
     /// index, FFT planes, preference, bounds workspace, and (after
     /// [`recycle`](Self::recycle)) the output itself — is recycled scratch
     /// refilled in place: a warm alarm performs **zero** heap allocations.
