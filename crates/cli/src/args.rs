@@ -239,8 +239,11 @@ OPTIONS:
                 serve: per-shard bound on the deferred alarm-explain
                 queue (default 64); a full queue sheds explanation work,
                 never alarms
-  --ring N      serve: per-shard ingest ring capacity (default 1024); a
-                full ring applies backpressure to the client
+  --ring N      serve: per-shard ingest ring capacity in observations
+                (default 1024), however many connections feed the
+                shard; a handler hands over each read's observations
+                per shard as one chunk, and a full ring applies
+                backpressure to the client
   --max-series N
                 serve: reject new series beyond N (default 0 = unbounded)
   --max-connections N

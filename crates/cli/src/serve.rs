@@ -6,8 +6,10 @@
 //!
 //! ```text
 //!              accept loop ── one handler thread per connection
-//!                                   │ routes by shard_of(series)
-//!                     bounded sync_channel rings (backpressure)
+//!                                   │ routes by shard_of(series) into
+//!                                   │ chunks: one read's observations
+//!                                   │ per shard
+//!             rings bounded in observations (backpressure)
 //!                                   ▼
 //!   shard worker 0..N  — each owns one FleetShard outright:
 //!     push (never blocks on explains) → bounded explain queue →
@@ -18,8 +20,8 @@
 //!              the calling thread: single writer pumping the log
 //! ```
 //!
-//! Backpressure is the ring: a handler's `send` blocks when a shard's
-//! ring is full, which in turn stalls that client's TCP stream — an
+//! Backpressure is the ring: a handler blocks when a shard's ring has no
+//! room for its chunk, which in turn stalls that client's TCP stream — an
 //! accepted observation is never dropped (property-tested in
 //! `moche-stream`). Slow explains shed *explanation work*, never alarms
 //! and never pushes.
@@ -82,8 +84,8 @@ use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicI32, AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc::{self, Receiver, SyncSender, TryRecvError};
-use std::sync::Arc;
+use std::sync::mpsc::{self, Receiver, TryRecvError};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 /// The supervised read tick: how long a handler blocks in one socket read
@@ -122,7 +124,9 @@ pub struct ServeOptions {
     pub size_only: bool,
     /// Per-shard bound on the deferred explain queue.
     pub explain_queue: usize,
-    /// Per-shard ingest ring capacity (the backpressure bound).
+    /// Per-shard ingest ring capacity in observations (the backpressure
+    /// bound); a handler hands over one read's observations per shard as
+    /// one chunk.
     pub ring: usize,
     /// Fleet-wide cap on tracked series (`0` = unbounded).
     pub max_series: usize,
@@ -171,8 +175,177 @@ struct Limits {
 /// relies on to read exact per-series offsets — and after every alarm its
 /// shard raised before the query was explained.
 enum WorkerMsg {
-    Obs { series: u64, value: f64 },
-    Query { series: u64, reply: mpsc::Sender<Option<SeriesStats>> },
+    /// Observations from one connection, in arrival order.
+    Batch(Vec<(u64, f64)>),
+    Query {
+        series: u64,
+        reply: mpsc::Sender<Option<SeriesStats>>,
+    },
+}
+
+/// The shard worker is gone (the daemon is shutting down).
+#[derive(Debug)]
+struct WorkerGone;
+
+/// One chunk of observations, in arrival order.
+type Chunk = Vec<(u64, f64)>;
+
+/// A shard's ingest ring, bounded in observations: a handler takes room
+/// for a whole chunk before sending it, and the worker gives the room
+/// back once it has applied the chunk. At most `capacity` observations
+/// are ever queued for or being applied by the shard, however many
+/// connections feed it and however small their chunks are.
+struct Room {
+    capacity: usize,
+    state: Mutex<RoomState>,
+    freed: Condvar,
+}
+
+struct RoomState {
+    /// Observations that still fit.
+    free: usize,
+    /// Handlers blocked until room is freed. A freed chunk wakes one; a
+    /// woken handler that leaves room wakes the next.
+    waiting: usize,
+    /// The worker is gone; no room will be freed again.
+    closed: bool,
+}
+
+impl Room {
+    fn lock(&self) -> MutexGuard<'_, RoomState> {
+        // The state is plain counters, valid after any panic.
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Blocks until `n` observations fit, then takes their room.
+    fn take(&self, n: usize) -> Result<(), WorkerGone> {
+        let mut state = self.lock();
+        while state.free < n && !state.closed {
+            state.waiting += 1;
+            state = self.freed.wait(state).unwrap_or_else(PoisonError::into_inner);
+            state.waiting -= 1;
+        }
+        if state.closed {
+            return Err(WorkerGone);
+        }
+        state.free -= n;
+        if state.free > 0 && state.waiting > 0 {
+            self.freed.notify_one();
+        }
+        Ok(())
+    }
+
+    /// Frees the room of an applied chunk of `n` observations.
+    fn give_back(&self, n: usize) {
+        let mut state = self.lock();
+        state.free += n;
+        if state.waiting > 0 {
+            self.freed.notify_one();
+        }
+    }
+
+    fn close(&self) {
+        self.lock().closed = true;
+        self.freed.notify_all();
+    }
+}
+
+/// The handlers' end of a shard's ring.
+#[derive(Clone)]
+struct Ring {
+    tx: mpsc::Sender<WorkerMsg>,
+    room: Arc<Room>,
+}
+
+/// The worker's end of a shard's ring. Dropping it (the worker exits)
+/// wakes every handler blocked for room.
+struct RingReceiver {
+    rx: Receiver<WorkerMsg>,
+    room: Arc<Room>,
+}
+
+impl Drop for RingReceiver {
+    fn drop(&mut self) {
+        self.room.close();
+    }
+}
+
+/// A shard ring holding at most `capacity` (at least 1) observations.
+/// The room is the bound, so the channel itself is unbounded and holds
+/// only the messages in flight: at most `capacity` chunks (each carries
+/// an observation) plus one query per connection (its handler waits for
+/// the reply).
+fn ring(capacity: usize) -> (Ring, RingReceiver) {
+    let capacity = capacity.max(1);
+    let (tx, rx) = mpsc::channel();
+    let room = Arc::new(Room {
+        capacity,
+        state: Mutex::new(RoomState { free: capacity, waiting: 0, closed: false }),
+        freed: Condvar::new(),
+    });
+    (Ring { tx, room: Arc::clone(&room) }, RingReceiver { rx, room })
+}
+
+impl Ring {
+    /// Hands `chunk` (at most `capacity` observations) to the worker once
+    /// the ring has room for all of it — a full ring blocks here, and the
+    /// backpressure reaches the client through its stalled stream.
+    fn send(&self, chunk: Chunk) -> Result<(), WorkerGone> {
+        self.room.take(chunk.len())?;
+        self.tx.send(WorkerMsg::Batch(chunk)).map_err(|_| WorkerGone)
+    }
+}
+
+/// The observations a connection handler decoded but has not yet handed
+/// to their shards: one open chunk per shard. A chunk goes when it fills
+/// its shard's ring, and every partial chunk goes before a query, a
+/// shutdown, a socket read that may block, and the handler's exit, so a
+/// chunk is at most one read's observations for its shard and none waits
+/// on input that has not arrived. Dropping the outbox hands over whatever
+/// is still open, so every exit path delivers.
+struct Outbox<'a> {
+    rings: &'a [Ring],
+    open: Vec<Chunk>,
+}
+
+impl<'a> Outbox<'a> {
+    fn new(rings: &'a [Ring]) -> Self {
+        Self { rings, open: rings.iter().map(|_| Vec::new()).collect() }
+    }
+
+    /// Adds one observation to its shard's chunk, handing the chunk over
+    /// once it fills the shard's whole ring.
+    fn push(&mut self, series: u64, value: f64) -> Result<(), WorkerGone> {
+        let shard = shard_of(series, self.rings.len());
+        let open = &mut self.open[shard];
+        open.push((series, value));
+        if open.len() < self.rings[shard].room.capacity {
+            return Ok(());
+        }
+        self.send(shard)
+    }
+
+    /// Hands every open chunk to its shard.
+    fn flush(&mut self) -> Result<(), WorkerGone> {
+        let mut result = Ok(());
+        for shard in 0..self.open.len() {
+            if !self.open[shard].is_empty() && self.send(shard).is_err() {
+                result = Err(WorkerGone);
+            }
+        }
+        result
+    }
+
+    fn send(&mut self, shard: usize) -> Result<(), WorkerGone> {
+        let chunk = std::mem::take(&mut self.open[shard]);
+        self.rings[shard].send(chunk)
+    }
+}
+
+impl Drop for Outbox<'_> {
+    fn drop(&mut self) {
+        let _ = self.flush();
+    }
 }
 
 /// Immutable run context shared by the connection handlers.
@@ -326,10 +499,10 @@ pub fn run_serve(opts: &ServeOptions, out: &mut dyn Write) -> Result<RunStatus, 
     let (log_tx, log_rx) = mpsc::channel::<String>();
 
     std::thread::scope(|s| -> Result<(), CliError> {
-        let mut senders: Vec<SyncSender<WorkerMsg>> = Vec::with_capacity(workers);
+        let mut rings = Vec::with_capacity(workers);
         for shard in shards {
-            let (tx, rx) = mpsc::sync_channel::<WorkerMsg>(opts.ring.max(1));
-            senders.push(tx);
+            let (tx, rx) = ring(opts.ring);
+            rings.push(tx);
             let log = log_tx.clone();
             let dir = opts.checkpoint_dir.clone();
             s.spawn(move || worker_loop(shard, rx, dir.as_deref(), checkpoint_every, &log));
@@ -338,7 +511,7 @@ pub fn run_serve(opts: &ServeOptions, out: &mut dyn Write) -> Result<RunStatus, 
             let ctx = &ctx;
             let listener = &listener;
             let log = log_tx.clone();
-            s.spawn(move || accept_loop(s, listener, senders, ctx, &log));
+            s.spawn(move || accept_loop(s, listener, rings, ctx, &log));
         }
         drop(log_tx);
 
@@ -398,16 +571,16 @@ pub fn run_serve(opts: &ServeOptions, out: &mut dyn Write) -> Result<RunStatus, 
 }
 
 /// One shard worker: apply the ring's messages in arrival order and
-/// answer one queued alarm each time the ring is empty, so an explanation
-/// never waits behind idle time and never runs ahead of a queued
-/// observation. A query's reply is held until the tickets its shard owed
-/// when the query arrived are answered, which makes the reply a barrier
-/// for explanations as well as observations: a STATUS read after it
-/// counts every earlier alarm as explained or shed. Checkpoints on
-/// cadence and once at the end.
+/// answer one queued alarm each time the ring is empty between them, so
+/// an explanation never waits behind idle time and never runs ahead of a
+/// queued chunk of observations. A query's reply is held until the
+/// tickets its shard owed when the query arrived are answered, which
+/// makes the reply a barrier for explanations as well as observations: a
+/// STATUS read after it counts every earlier alarm as explained or shed.
+/// Checkpoints on cadence and once at the end.
 fn worker_loop(
     mut shard: FleetShard,
-    rx: Receiver<WorkerMsg>,
+    ring: RingReceiver,
     dir: Option<&Path>,
     every: u64,
     log: &mpsc::Sender<String>,
@@ -419,9 +592,9 @@ fn worker_loop(
     let mut held: VecDeque<(usize, mpsc::Sender<_>, _)> = VecDeque::new();
     loop {
         let msg = if shard.pending_explains() == 0 {
-            rx.recv().ok()
+            ring.rx.recv().ok()
         } else {
-            match rx.try_recv() {
+            match ring.rx.try_recv() {
                 Err(TryRecvError::Empty) => {
                     answered += shard.drain_explains(1, |alarm| log_explained(alarm, log));
                     while let Some((_, reply, stats)) =
@@ -435,12 +608,16 @@ fn worker_loop(
             }
         };
         match msg {
-            Some(WorkerMsg::Obs { series, value }) => {
-                apply_obs(&mut shard, series, value, log);
-                if dir.is_some() && shard.accepted() - last_checkpoint >= every {
-                    checkpoint_now(&shard, dir, log);
-                    last_checkpoint = shard.accepted();
+            Some(WorkerMsg::Batch(chunk)) => {
+                let n = chunk.len();
+                for (series, value) in chunk {
+                    apply_obs(&mut shard, series, value, log);
+                    if dir.is_some() && shard.accepted() - last_checkpoint >= every {
+                        checkpoint_now(&shard, dir, log);
+                        last_checkpoint = shard.accepted();
+                    }
                 }
+                ring.room.give_back(n);
             }
             Some(WorkerMsg::Query { series, reply }) => {
                 let stats = shard.series_stats(series);
@@ -534,7 +711,7 @@ fn checkpoint_now(shard: &FleetShard, dir: Option<&Path>, log: &mpsc::Sender<Str
 fn accept_loop<'scope>(
     s: &'scope std::thread::Scope<'scope, '_>,
     listener: &'scope Listener,
-    senders: Vec<SyncSender<WorkerMsg>>,
+    rings: Vec<Ring>,
     ctx: &'scope ServeContext,
     log: &mpsc::Sender<String>,
 ) {
@@ -572,10 +749,10 @@ fn accept_loop<'scope>(
         // atomicity matters (ids must be unique, not ordered with anything).
         // lint:allow(relaxed): monotonic stats counter; no cross-thread handoff rides on it
         let id = ctx.conn_seq.fetch_add(1, Ordering::Relaxed);
-        let senders = senders.clone();
+        let rings = rings.clone();
         let log = log.clone();
         s.spawn(move || {
-            let reason = handle_connection(id, conn, &senders, ctx, listener, &log);
+            let reason = handle_connection(id, conn, &rings, ctx, listener, &log);
             note_close(id, reason, ctx, &log);
             ctx.active.fetch_sub(1, Ordering::SeqCst);
         });
@@ -588,7 +765,7 @@ fn accept_loop<'scope>(
             moche_signal::signal_name(signal)
         ));
     }
-    // Dropping `senders` (the last clones once handlers finish) lets the
+    // Dropping `rings` (the last clones once handlers finish) lets the
     // workers drain their rings and exit.
 }
 
@@ -614,7 +791,7 @@ fn reject_busy(mut conn: Conn, ctx: &ServeContext) {
 fn handle_connection(
     id: u64,
     mut conn: Conn,
-    senders: &[SyncSender<WorkerMsg>],
+    rings: &[Ring],
     ctx: &ServeContext,
     listener: &Listener,
     log: &mpsc::Sender<String>,
@@ -625,6 +802,7 @@ fn handle_connection(
     if let Err(e) = conn.set_write_timeout(ctx.limits.io) {
         return CloseReason::Transport(e);
     }
+    let mut outbox = Outbox::new(rings);
     let mut asm = FrameAssembler::new();
     let mut read_buf = [0u8; 4096];
     let mut malformed: u32 = 0;
@@ -641,8 +819,15 @@ fn handle_connection(
                 Assembled::Request(request) => {
                     consumed_any = true;
                     last_activity = Instant::now();
-                    match apply_request(request, asm.mode(), &mut conn, senders, ctx, listener, log)
-                    {
+                    match apply_request(
+                        request,
+                        asm.mode(),
+                        &mut conn,
+                        &mut outbox,
+                        ctx,
+                        listener,
+                        log,
+                    ) {
                         Ok(Flow::Continue) => {}
                         Ok(Flow::Close(reason)) => return reason,
                         Err(e) => return write_failure_reason(e),
@@ -681,6 +866,10 @@ fn handle_connection(
             frame_start = None;
         } else if consumed_any || frame_start.is_none() {
             frame_start = Some(Instant::now());
+        }
+        // The read below may block: nothing decoded may wait for it.
+        if outbox.flush().is_err() {
+            return CloseReason::ShutdownRequested;
         }
         if let Some(moche_core::fault::Fault::Error) = moche_core::fault::failpoint("serve.read") {
             // Deterministic stand-in for a real mid-frame stall: evicted
@@ -732,23 +921,24 @@ fn apply_request(
     request: Request,
     mode: Option<WireMode>,
     conn: &mut Conn,
-    senders: &[SyncSender<WorkerMsg>],
+    outbox: &mut Outbox<'_>,
     ctx: &ServeContext,
     listener: &Listener,
     log: &mpsc::Sender<String>,
 ) -> io::Result<Flow> {
+    // Every request but OBS is ordered after the observations before it.
+    let delivered = match request {
+        Request::Obs { series, value } => outbox.push(series, value),
+        _ => outbox.flush(),
+    };
+    if delivered.is_err() {
+        return Ok(Flow::Close(CloseReason::ShutdownRequested));
+    }
     match request {
-        Request::Obs { series, value } => {
-            let shard = shard_of(series, senders.len());
-            // A full ring blocks here: backpressure reaches the client
-            // through its stalled stream.
-            if senders[shard].send(WorkerMsg::Obs { series, value }).is_err() {
-                return Ok(Flow::Close(CloseReason::ShutdownRequested));
-            }
-        }
+        Request::Obs { .. } => {}
         Request::Status => respond(conn, mode, op::STATUS, &status_json(ctx))?,
         Request::Series { series } => {
-            respond(conn, mode, op::SERIES, &series_json(series, senders, ctx))?;
+            respond(conn, mode, op::SERIES, &series_json(series, outbox.rings, ctx))?;
         }
         Request::Shutdown => {
             respond(conn, mode, op::SHUTDOWN, &status_json(ctx))?;
@@ -899,12 +1089,12 @@ fn status_json(ctx: &ServeContext) -> String {
         .build()
 }
 
-fn series_json(series: u64, senders: &[SyncSender<WorkerMsg>], ctx: &ServeContext) -> String {
-    let shard = shard_of(series, senders.len());
+fn series_json(series: u64, rings: &[Ring], ctx: &ServeContext) -> String {
+    let shard = shard_of(series, rings.len());
     let (reply_tx, reply_rx) = mpsc::channel();
     let stats = if ctx.shutdown.load(Ordering::SeqCst) {
         None
-    } else if senders[shard].send(WorkerMsg::Query { series, reply: reply_tx }).is_ok() {
+    } else if rings[shard].tx.send(WorkerMsg::Query { series, reply: reply_tx }).is_ok() {
         reply_rx.recv().ok().flatten()
     } else {
         None
@@ -1261,6 +1451,50 @@ mod tests {
         panic!("STATUS {key} never reached {at_least}: {body}");
     }
 
+    /// `--ring` counts observations whatever the chunk sizes: many
+    /// one-observation chunks fill it exactly as one large chunk does, and
+    /// a handler blocked on a full ring resumes once the worker gives room
+    /// back.
+    #[test]
+    fn a_ring_holds_at_most_its_capacity_in_observations() {
+        let (tx, rx) = ring(4);
+        for i in 0..4 {
+            tx.send(vec![(i, 1.0)]).expect("room for four observations");
+        }
+        let (done_tx, done_rx) = mpsc::channel();
+        let blocked = {
+            let tx = tx.clone();
+            std::thread::spawn(move || {
+                let sent = tx.send(vec![(9, 1.0), (10, 1.0)]).is_ok();
+                done_tx.send(sent).unwrap();
+            })
+        };
+        assert!(
+            done_rx.recv_timeout(Duration::from_millis(200)).is_err(),
+            "a fifth observation must wait for room"
+        );
+        // One chunk applied frees one observation: still no room for two.
+        let Ok(WorkerMsg::Batch(chunk)) = rx.rx.recv() else { panic!("a chunk") };
+        rx.room.give_back(chunk.len());
+        assert!(done_rx.recv_timeout(Duration::from_millis(200)).is_err(), "room for one only");
+        let Ok(WorkerMsg::Batch(chunk)) = rx.rx.recv() else { panic!("a chunk") };
+        rx.room.give_back(chunk.len());
+        assert_eq!(done_rx.recv_timeout(Duration::from_secs(10)), Ok(true), "room for two");
+        blocked.join().unwrap();
+    }
+
+    /// A worker that is gone frees no room again: a handler waiting for
+    /// room gets `WorkerGone` instead of waiting forever.
+    #[test]
+    fn a_gone_worker_releases_handlers_waiting_for_room() {
+        let (tx, rx) = ring(1);
+        tx.send(vec![(1, 1.0)]).expect("room for one");
+        let blocked = std::thread::spawn(move || tx.send(vec![(2, 1.0)]).is_err());
+        std::thread::sleep(Duration::from_millis(50));
+        drop(rx);
+        assert!(blocked.join().unwrap(), "the blocked send must fail, not hang");
+    }
+
     /// A ring that never goes quiet for long must not starve the explain
     /// queue: the worker answers a queued alarm in the first gap between
     /// two messages, not only once traffic pauses or the ring closes.
@@ -1270,7 +1504,7 @@ mod tests {
             MonitorFleet::new(FleetConfig::new(1, MonitorConfig::new(16, 0.05))).expect("fleet");
         let (_, mut shards, stats) = fleet.into_shards();
         let shard = shards.pop().expect("one shard");
-        let (tx, rx) = mpsc::sync_channel::<WorkerMsg>(256);
+        let (tx, rx) = ring(256);
         let (log_tx, log_rx) = mpsc::channel::<String>();
         let worker = std::thread::spawn(move || worker_loop(shard, rx, None, u64::MAX, &log_tx));
 
@@ -1278,7 +1512,7 @@ mod tests {
         // level 30 — one alarm on the push that fills both windows.
         for i in 0..32u64 {
             let value = ((i * 13) % 11) as f64 + if i < 16 { 0.0 } else { 30.0 };
-            tx.send(WorkerMsg::Obs { series: 9, value }).unwrap();
+            tx.send(vec![(9, value)]).unwrap();
         }
         // Then keep the ring busy for 300 ms with an observation every 2 ms
         // for a constant series that never alarms. No query: a query's
@@ -1287,7 +1521,7 @@ mod tests {
         let mut lines = Vec::new();
         let started = Instant::now();
         while started.elapsed() < Duration::from_millis(300) {
-            tx.send(WorkerMsg::Obs { series: 10, value: 1.0 }).unwrap();
+            tx.send(vec![(10, 1.0)]).unwrap();
             lines.extend(log_rx.try_iter());
             std::thread::sleep(Duration::from_millis(2));
         }
@@ -1322,7 +1556,7 @@ mod tests {
         let fleet = MonitorFleet::new(FleetConfig::new(1, monitor)).expect("fleet");
         let (_, mut shards, stats) = fleet.into_shards();
         let shard = shards.pop().expect("one shard");
-        let (tx, rx) = mpsc::sync_channel::<WorkerMsg>((2 * W * SERIES + 1) as usize);
+        let (tx, rx) = ring((2 * W * SERIES + 1) as usize);
         let (log_tx, log_rx) = mpsc::channel::<String>();
 
         // Each series raises one alarm on its last push, and the query is
@@ -1332,11 +1566,11 @@ mod tests {
         for series in 1..=SERIES {
             for i in 0..2 * W {
                 let value = ((i * 13) % 11) as f64 + if i < W { 0.0 } else { 30.0 };
-                tx.send(WorkerMsg::Obs { series, value }).unwrap();
+                tx.send(vec![(series, value)]).unwrap();
             }
         }
         let (reply_tx, reply_rx) = mpsc::channel();
-        tx.send(WorkerMsg::Query { series: SERIES, reply: reply_tx }).unwrap();
+        tx.tx.send(WorkerMsg::Query { series: SERIES, reply: reply_tx }).unwrap();
         let worker = std::thread::spawn(move || worker_loop(shard, rx, None, u64::MAX, &log_tx));
         let reply = reply_rx.recv().expect("query answered").expect("series exists");
         let view = stats.view();

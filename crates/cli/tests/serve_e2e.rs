@@ -18,6 +18,10 @@
 //! Everything the run produces — both daemon logs, the checkpoint files,
 //! and a machine-readable stats summary — lands in `target/fleet-soak/`
 //! for CI to upload as artifacts.
+//!
+//! The `burst` cases send many OBS frames and one more request in a single
+//! write: no way a connection can end or ask a question may lose an
+//! observation its handler has decoded.
 
 mod harness;
 
@@ -27,6 +31,7 @@ use moche_stream::{FleetConfig, MonitorConfig, MonitorFleet};
 use std::io::Write;
 use std::net::TcpStream;
 use std::path::Path;
+use std::time::{Duration, Instant};
 
 /// Series in the scripted load.
 const SERIES_N: u64 = 12;
@@ -176,4 +181,141 @@ fn kill_dash_nine_soak_loses_no_alarms() {
             "MOCHE_FAULTS wiring must reach the accept seam:\n{log1}"
         );
     }
+}
+
+/// Observations in one burst, spread over [`BURST_SERIES`] series and both
+/// shards, so the handler holds a partial chunk for each shard when the
+/// burst ends.
+const BURST: u64 = 1000;
+const BURST_SERIES: u64 = 7;
+
+/// `BURST` OBS frames followed by `tail`, as one write.
+fn burst_then(tail: &[u8]) -> Vec<u8> {
+    let mut bytes = Vec::new();
+    for i in 0..BURST {
+        bytes.extend_from_slice(&protocol::encode_obs(i % BURST_SERIES, ((i * 13) % 11) as f64));
+    }
+    bytes.extend_from_slice(tail);
+    bytes
+}
+
+fn spawn_burst_daemon(name: &str) -> (Daemon, std::path::PathBuf) {
+    let log = artifact_dir(name).join("daemon.log");
+    (Daemon::spawn(&log, &["--window", "64", "--workers", "2"], None), log)
+}
+
+/// `accepted` from STATUS on fresh connections, once it reaches `expected`
+/// or 10 s have passed. STATUS reads counters, not the rings, so a handler
+/// still delivering its last chunk gets a moment.
+fn settled_accepted(addr: &str, expected: u64) -> u64 {
+    let deadline = Instant::now() + Duration::from_secs(10);
+    loop {
+        let mut conn = TcpStream::connect(addr).expect("connect");
+        let accepted = json_u64(&query(&mut conn, op::STATUS), "accepted");
+        if accepted >= expected || Instant::now() >= deadline {
+            return accepted;
+        }
+        std::thread::sleep(Duration::from_millis(20));
+    }
+}
+
+#[test]
+fn observations_before_a_fatal_frame_are_applied() {
+    let (daemon, _) = spawn_burst_daemon("burst-fatal");
+    let mut conn = TcpStream::connect(&daemon.addr).expect("connect");
+    conn.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    // A corrupt length prefix loses framing: the handler replies and exits.
+    conn.write_all(&burst_then(&u32::MAX.to_le_bytes())).expect("send burst");
+    let (opcode, body) = protocol::read_reply(&mut conn).expect("fatal reply");
+    assert_eq!(opcode, op::ERR | op::REPLY);
+    assert!(json_bool(&String::from_utf8(body).unwrap(), "fatal"));
+    assert_eq!(settled_accepted(&daemon.addr, BURST), BURST);
+}
+
+#[test]
+fn observations_before_a_close_are_applied() {
+    let (daemon, _) = spawn_burst_daemon("burst-close");
+    let mut conn = TcpStream::connect(&daemon.addr).expect("connect");
+    conn.write_all(&burst_then(&[])).expect("send burst");
+    drop(conn);
+    assert_eq!(settled_accepted(&daemon.addr, BURST), BURST);
+}
+
+#[test]
+fn observations_on_an_idle_open_connection_are_applied() {
+    // The handler waits in a socket read with the burst decoded: the
+    // chunks must reach their shards before that read, not when more
+    // input (or the close) arrives.
+    let (daemon, _) = spawn_burst_daemon("burst-idle");
+    let mut conn = TcpStream::connect(&daemon.addr).expect("connect");
+    conn.write_all(&burst_then(&[])).expect("send burst");
+    assert_eq!(settled_accepted(&daemon.addr, BURST), BURST);
+    drop(conn);
+}
+
+#[test]
+fn observations_before_a_shutdown_are_applied() {
+    let (mut daemon, log) = spawn_burst_daemon("burst-shutdown");
+    let mut conn = TcpStream::connect(&daemon.addr).expect("connect");
+    conn.write_all(&burst_then(&protocol::encode_op(op::SHUTDOWN))).expect("send burst");
+    let (opcode, _) = protocol::read_reply(&mut conn).expect("SHUTDOWN reply");
+    assert_eq!(opcode, op::SHUTDOWN | op::REPLY);
+    daemon.wait_clean_exit();
+    // The listener is gone; the final summary holds the shards' counts.
+    let log = std::fs::read_to_string(log).expect("daemon log");
+    let summary = format!("shutdown complete — {BURST_SERIES} series, {BURST} accepted");
+    assert!(log.contains(&summary), "expected {summary:?} in:\n{log}");
+}
+
+#[test]
+fn a_series_reply_counts_every_observation_before_it() {
+    let (daemon, _) = spawn_burst_daemon("burst-series");
+    let mut conn = TcpStream::connect(&daemon.addr).expect("connect");
+    conn.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    let mut queries = Vec::new();
+    for id in 0..BURST_SERIES {
+        queries.extend_from_slice(&protocol::encode_series(id));
+    }
+    conn.write_all(&burst_then(&queries)).expect("send burst");
+    for id in 0..BURST_SERIES {
+        let (opcode, payload) = protocol::read_reply(&mut conn).expect("SERIES reply");
+        assert_eq!(opcode, op::SERIES | op::REPLY);
+        let json = String::from_utf8(payload).expect("JSON reply");
+        let sent = (0..BURST).filter(|i| i % BURST_SERIES == id).count() as u64;
+        assert!(json_bool(&json, "found"), "series {id}: {json}");
+        assert_eq!(json_u64(&json, "pushes"), sent, "series {id}: {json}");
+    }
+}
+
+/// Many connections, each writing one OBS frame per write, into rings of
+/// 4 observations: every handler sends one-observation chunks, and most
+/// sends wait for room. No observation is lost, and no handler waits
+/// forever.
+#[test]
+fn many_single_observation_writers_share_a_small_ring() {
+    const CONNS: u64 = 16;
+    const PER_CONN: u64 = 200;
+    let log = artifact_dir("fan-in").join("daemon.log");
+    let daemon = Daemon::spawn(&log, &["--window", "8", "--workers", "2", "--ring", "4"], None);
+    let writers: Vec<_> = (0..CONNS)
+        .map(|c| {
+            let addr = daemon.addr.clone();
+            std::thread::spawn(move || {
+                let mut conn = TcpStream::connect(&addr).expect("connect");
+                conn.set_nodelay(true).unwrap();
+                conn.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+                for i in 0..PER_CONN {
+                    let frame = protocol::encode_obs(c, ((i * 13 + c) % 11) as f64);
+                    conn.write_all(&frame).expect("send one observation");
+                }
+                query_series(&mut conn, c)
+            })
+        })
+        .collect();
+    for (c, writer) in writers.into_iter().enumerate() {
+        let (found, pushes, _) = writer.join().expect("writer thread");
+        assert!(found, "series {c}");
+        assert_eq!(pushes, PER_CONN, "series {c}");
+    }
+    assert_eq!(settled_accepted(&daemon.addr, CONNS * PER_CONN), CONNS * PER_CONN);
 }

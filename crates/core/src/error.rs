@@ -93,6 +93,16 @@ pub enum MocheError {
         /// The smallest acceptable window size.
         min: usize,
     },
+    /// The samples are too large for the streaming KS treap's exact `i32`
+    /// weights. `moche_stream::MonitorState` needs `w <= i32::MAX` (its
+    /// `±1` prefix sums reach `w`); `moche_stream::IncrementalKs` needs
+    /// `n·m <= i32::MAX` (its `+m`/`-n` prefix sums reach `n·m`).
+    SamplesTooLarge {
+        /// Reference sample size (the window size for a monitor).
+        n: usize,
+        /// Test sample size (the window size for a monitor).
+        m: usize,
+    },
     /// A batch call supplied a different number of preference lists than
     /// windows, so no window/preference pairing exists. Every result slot
     /// of that call carries this error (the inputs are unusable as a
@@ -198,6 +208,11 @@ impl fmt::Display for MocheError {
             MocheError::WindowTooSmall { window, min } => {
                 write!(f, "window size {window} is too small (minimum {min})")
             }
+            MocheError::SamplesTooLarge { n, m } => write!(
+                f,
+                "samples of {n} and {m} observations overflow the streaming KS test's \
+                 exact 32-bit weights"
+            ),
             MocheError::ConstructionIncomplete { built, k } => write!(
                 f,
                 "phase 2 selected only {built} of {k} points; \

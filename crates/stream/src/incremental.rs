@@ -162,7 +162,7 @@ impl IncrementalKs {
         self.next_uid += 1;
         self.test[pos] = (new_value, uid);
         if !self.dirty {
-            let n = self.built_n as i64;
+            let n = self.built_n as i32; // statistic() checked n·m fits
             self.treap.update(old_value, n, -1); // undo the old -n element
             self.treap.update(new_value, -n, 1);
         }
@@ -179,16 +179,18 @@ impl IncrementalKs {
         self.next_uid += 1;
         self.reference[pos] = (new_value, uid);
         if !self.dirty {
-            let m = self.built_m as i64;
+            let m = self.built_m as i32; // statistic() checked n·m fits
             self.treap.update(old_value, -m, -1); // undo the old +m element
             self.treap.update(new_value, m, 1);
         }
         Some(ObsId(uid))
     }
 
+    /// Reloads the treap for the current sizes; `statistic` checked that
+    /// `n·m` fits `i32`.
     fn rebuild(&mut self) {
-        let n = self.reference.len() as i64;
-        let m = self.test.len() as i64;
+        let n = self.reference.len() as i32;
+        let m = self.test.len() as i32;
         self.treap = WeightedTreap::new(0x1C5B ^ self.next_uid);
         for &(value, _) in &self.reference {
             self.treap.update(value, m, 1);
@@ -206,13 +208,19 @@ impl IncrementalKs {
     ///
     /// # Errors
     ///
-    /// Returns an error if either side is empty.
+    /// Returns an error if either side is empty, and
+    /// [`MocheError::SamplesTooLarge`] if `n·m` exceeds `i32::MAX` (the
+    /// treap's exact prefix sums reach `n·m`).
     pub fn statistic(&mut self) -> Result<f64, MocheError> {
-        if self.reference.is_empty() {
+        let (n, m) = (self.reference.len(), self.test.len());
+        if n == 0 {
             return Err(MocheError::EmptyReference);
         }
-        if self.test.is_empty() {
+        if m == 0 {
             return Err(MocheError::EmptyTest);
+        }
+        if n.checked_mul(m).is_none_or(|nm| i32::try_from(nm).is_err()) {
+            return Err(MocheError::SamplesTooLarge { n, m });
         }
         if self.dirty || self.built_n != self.reference.len() || self.built_m != self.test.len() {
             self.rebuild();
@@ -368,6 +376,24 @@ mod tests {
         assert!(matches!(iks.statistic(), Err(MocheError::EmptyReference)));
         iks.insert_reference(1.0);
         assert!(matches!(iks.statistic(), Err(MocheError::EmptyTest)));
+    }
+
+    #[test]
+    fn samples_whose_product_overflows_i32_error() {
+        // 50,000 · 50,000 = 2.5e9 > i32::MAX: the `+m`/`-n` weights could
+        // not be summed exactly, so both readers refuse with a typed error.
+        let mut iks = IncrementalKs::new();
+        for i in 0..50_000 {
+            iks.insert_reference(f64::from(i));
+            iks.insert_test(f64::from(i));
+        }
+        let too_large = MocheError::SamplesTooLarge { n: 50_000, m: 50_000 };
+        assert_eq!(iks.statistic(), Err(too_large.clone()));
+        let cfg = KsConfig::new(0.05).unwrap();
+        assert!(matches!(iks.outcome(&cfg), Err(e) if e == too_large));
+        // 40,000 · 50,000 fits again.
+        iks.reference.truncate(40_000);
+        assert_eq!(iks.statistic(), Ok(0.2));
     }
 
     #[test]

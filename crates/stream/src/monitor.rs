@@ -322,9 +322,9 @@ enum AlarmWork<'a> {
     Defer(&'a mut WindowCapture),
 }
 
-/// Seed of the KS treap's node priorities (the treap's shape never affects
-/// a result).
-const TREAP_SEED: u64 = 0x1C5B;
+/// Seed of the KS treap's node priorities. The treap mixes it with a
+/// per-process random key, and its shape never affects a result.
+pub(crate) const TREAP_SEED: u64 = 0x1C5B;
 
 /// The per-series half of a drift monitor: sliding windows, the KS treap,
 /// and counters — everything that must exist once per monitored series.
@@ -355,10 +355,14 @@ impl MonitorState {
     /// Returns [`MocheError::InvalidAlpha`] for a bad significance level
     /// and [`MocheError::WindowTooSmall`] if `window < 2` (paired sliding
     /// windows need at least two points each) or either Spectral-Residual
-    /// window is zero.
+    /// window is zero, and [`MocheError::SamplesTooLarge`] if `window`
+    /// exceeds `i32::MAX` (the treap's exact `i32` prefix sums reach `w`).
     pub fn new(cfg: MonitorConfig) -> Result<Self, MocheError> {
         if cfg.window < 2 {
             return Err(MocheError::WindowTooSmall { window: cfg.window, min: 2 });
+        }
+        if i32::try_from(cfg.window).is_err() {
+            return Err(MocheError::SamplesTooLarge { n: cfg.window, m: cfg.window });
         }
         if cfg.sr_filter_window < 1 {
             return Err(MocheError::WindowTooSmall { window: cfg.sr_filter_window, min: 1 });
@@ -694,7 +698,8 @@ impl DriftMonitor {
     /// Returns [`MocheError::InvalidAlpha`] for a bad significance level
     /// and [`MocheError::WindowTooSmall`] if `window < 2` (paired sliding
     /// windows need at least two points each) or either Spectral-Residual
-    /// window is zero.
+    /// window is zero, and [`MocheError::SamplesTooLarge`] if `window`
+    /// exceeds `i32::MAX`.
     pub fn new(cfg: MonitorConfig) -> Result<Self, MocheError> {
         let state = MonitorState::new(cfg)?;
         let scratch = MonitorScratch::with_config(state.ks_cfg);
@@ -990,6 +995,17 @@ mod tests {
             }
         }
         assert!(DriftMonitor::new(MonitorConfig::new(2, 0.05)).is_ok());
+    }
+
+    #[test]
+    fn windows_beyond_the_treaps_i32_range_error_before_allocating() {
+        // The KS treap's `i32` prefix sums reach `w`; a larger window is
+        // refused before its two window buffers are reserved.
+        let too_large = i32::MAX as usize + 1;
+        match MonitorState::new(MonitorConfig::new(too_large, 0.05)) {
+            Err(MocheError::SamplesTooLarge { n, m }) => assert_eq!((n, m), (too_large, too_large)),
+            other => panic!("expected SamplesTooLarge, got {other:?}"),
+        }
     }
 
     #[test]

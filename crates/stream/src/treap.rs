@@ -16,6 +16,32 @@
 //! `n·m·(F_R(x) - F_T(x))`, so the KS statistic is
 //! `max(max_prefix, -min_prefix) / (n·m)` — readable at the root in `O(1)`
 //! after `O(log N)` expected-time weight updates.
+//!
+//! ## One descent per update
+//!
+//! [`WeightedTreap::update`] walks from the root to the value's node once:
+//! an existing node has its weight and element count adjusted (and is
+//! unlinked by merging its two children when the count reaches zero); a
+//! missing value becomes a leaf that rotates up while its priority beats
+//! its parent's. Only the nodes on that path have their aggregates
+//! recomputed, each once, on the way back up.
+//!
+//! ## Node layout
+//!
+//! A node is 40 bytes: the `f64` key, two `u32` child indices into one
+//! arena `Vec`, and six 32-bit fields — the `i32` weight, the `u32`
+//! element count and priority, and the `i32` subtree sum and prefix
+//! extremes. Weights and aggregates are exact `i32`s: callers bound them
+//! (the monitor's `±1` weights by its window, [`crate::IncrementalKs`]'s
+//! `+m`/`-n` weights by `n·m`) and reject larger samples with a typed
+//! error. Priorities come from a SplitMix64 stream whose seed is mixed
+//! with a per-process random key, so a client that knows the seed a
+//! caller passes still cannot order its values into a degenerate path.
+
+use std::cmp::Ordering;
+use std::collections::hash_map::RandomState;
+use std::hash::BuildHasher;
+use std::sync::OnceLock;
 
 /// Node arena index.
 type Idx = u32;
@@ -24,34 +50,52 @@ const NIL: Idx = u32::MAX;
 #[derive(Debug, Clone)]
 struct Node {
     value: f64,
-    /// Aggregated weight of all observations at this value.
-    weight: i64,
-    /// Number of live observations at this value (node is freed at 0).
-    elems: u32,
-    priority: u64,
     left: Idx,
     right: Idx,
-    // Subtree aggregates over the in-order sequence of weights.
-    sum: i64,
-    max_prefix: i64, // maximum over non-empty prefixes
-    min_prefix: i64, // minimum over non-empty prefixes
-    count: u32,      // number of nodes (distinct values) in the subtree
+    /// Aggregated weight of all observations at this value.
+    weight: i32,
+    /// Number of live observations at this value (node is freed at 0).
+    elems: u32,
+    priority: u32,
+    // Subtree aggregates over the in-order sequence of weights. The prefix
+    // extremes include the empty prefix (so `min_prefix <= 0 <= max_prefix`),
+    // which makes an absent child the all-zero aggregate.
+    sum: i32,
+    max_prefix: i32,
+    min_prefix: i32,
 }
+
+const _: () = assert!(std::mem::size_of::<Node>() == 40);
 
 /// A weighted treap keyed by distinct `f64` values, with prefix-sum
 /// aggregates.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct WeightedTreap {
     nodes: Vec<Node>,
     free: Vec<Idx>,
     root: Idx,
+    /// Number of live nodes (distinct values).
+    distinct: u32,
     rng_state: u64,
 }
 
+/// A random key drawn once per process and mixed into every seed.
+fn process_key() -> u64 {
+    static KEY: OnceLock<u64> = OnceLock::new();
+    *KEY.get_or_init(|| RandomState::new().hash_one(0x1C5B_u64))
+}
+
 impl WeightedTreap {
-    /// Creates an empty treap. `seed` randomizes priorities.
+    /// Creates an empty treap. `seed` randomizes priorities together with
+    /// a per-process random key; the shape never changes an aggregate.
     pub fn new(seed: u64) -> Self {
-        Self { nodes: Vec::new(), free: Vec::new(), root: NIL, rng_state: seed | 1 }
+        Self {
+            nodes: Vec::new(),
+            free: Vec::new(),
+            root: NIL,
+            distinct: 0,
+            rng_state: (seed ^ process_key()) | 1,
+        }
     }
 
     /// Removes every value, keeping the node arena's allocation for reuse.
@@ -59,15 +103,12 @@ impl WeightedTreap {
         self.nodes.clear();
         self.free.clear();
         self.root = NIL;
+        self.distinct = 0;
     }
 
     /// Number of distinct values stored.
     pub fn distinct_values(&self) -> usize {
-        if self.root == NIL {
-            0
-        } else {
-            self.nodes[self.root as usize].count as usize
-        }
+        self.distinct as usize
     }
 
     /// Whether the treap is empty.
@@ -75,32 +116,30 @@ impl WeightedTreap {
         self.root == NIL
     }
 
+    /// `(sum, max_prefix, min_prefix)` of the subtree at `t`.
+    fn aggregates(&self, t: Idx) -> (i32, i32, i32) {
+        if t == NIL {
+            (0, 0, 0)
+        } else {
+            let n = &self.nodes[t as usize];
+            (n.sum, n.max_prefix, n.min_prefix)
+        }
+    }
+
     /// Total weight of all elements.
     pub fn total_weight(&self) -> i64 {
-        if self.root == NIL {
-            0
-        } else {
-            self.nodes[self.root as usize].sum
-        }
+        i64::from(self.aggregates(self.root).0)
     }
 
     /// Maximum prefix sum over the sorted distinct values (including the
     /// empty prefix, so never negative).
     pub fn max_prefix(&self) -> i64 {
-        if self.root == NIL {
-            0
-        } else {
-            self.nodes[self.root as usize].max_prefix.max(0)
-        }
+        i64::from(self.aggregates(self.root).1)
     }
 
     /// Minimum prefix sum (including the empty prefix, so never positive).
     pub fn min_prefix(&self) -> i64 {
-        if self.root == NIL {
-            0
-        } else {
-            self.nodes[self.root as usize].min_prefix.min(0)
-        }
+        i64::from(self.aggregates(self.root).2)
     }
 
     /// The largest absolute prefix sum — `n·m·D` under the KS weighting.
@@ -108,29 +147,29 @@ impl WeightedTreap {
         self.max_prefix().max(-self.min_prefix())
     }
 
-    fn next_priority(&mut self) -> u64 {
-        // SplitMix64.
+    fn next_priority(&mut self) -> u32 {
+        // SplitMix64; the high half is the priority.
         self.rng_state = self.rng_state.wrapping_add(0x9E37_79B9_7F4A_7C15);
         let mut z = self.rng_state;
         z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
         z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
+        ((z ^ (z >> 31)) >> 32) as u32
     }
 
-    fn alloc(&mut self, value: f64, weight: i64, elems: u32) -> Idx {
+    fn alloc(&mut self, value: f64, weight: i32, elems: u32) -> Idx {
         let priority = self.next_priority();
         let node = Node {
             value,
+            left: NIL,
+            right: NIL,
             weight,
             elems,
             priority,
-            left: NIL,
-            right: NIL,
             sum: weight,
-            max_prefix: weight,
-            min_prefix: weight,
-            count: 1,
+            max_prefix: weight.max(0),
+            min_prefix: weight.min(0),
         };
+        self.distinct += 1;
         if let Some(idx) = self.free.pop() {
             self.nodes[idx as usize] = node;
             idx
@@ -140,86 +179,42 @@ impl WeightedTreap {
         }
     }
 
+    /// Recomputes the aggregates of `idx` from its children's.
     fn pull(&mut self, idx: Idx) {
         let (l, r) = {
             let n = &self.nodes[idx as usize];
             (n.left, n.right)
         };
-        let (lsum, lmax, lmin, lcnt) = if l == NIL {
-            (0, i64::MIN, i64::MAX, 0)
-        } else {
-            let ln = &self.nodes[l as usize];
-            (ln.sum, ln.max_prefix, ln.min_prefix, ln.count)
-        };
-        let (rsum, rmax, rmin, rcnt) = if r == NIL {
-            (0, i64::MIN, i64::MAX, 0)
-        } else {
-            let rn = &self.nodes[r as usize];
-            (rn.sum, rn.max_prefix, rn.min_prefix, rn.count)
-        };
-        let w = self.nodes[idx as usize].weight;
-        let here = lsum + w; // prefix ending at this node
-        let mut maxp = here;
-        if lmax != i64::MIN {
-            maxp = maxp.max(lmax);
-        }
-        if rmax != i64::MIN {
-            maxp = maxp.max(here + rmax);
-        }
-        let mut minp = here;
-        if lmin != i64::MAX {
-            minp = minp.min(lmin);
-        }
-        if rmin != i64::MAX {
-            minp = minp.min(here + rmin);
-        }
+        let (lsum, lmax, lmin) = self.aggregates(l);
+        let (rsum, rmax, rmin) = self.aggregates(r);
         let n = &mut self.nodes[idx as usize];
-        n.sum = lsum + w + rsum;
-        n.max_prefix = maxp;
-        n.min_prefix = minp;
-        n.count = lcnt + 1 + rcnt;
+        let here = lsum + n.weight; // prefix ending at this node
+        n.sum = here + rsum;
+        n.max_prefix = lmax.max(here + rmax);
+        n.min_prefix = lmin.min(here + rmin);
     }
 
-    /// Splits `t` into (< value, >= value).
-    fn split_lt(&mut self, t: Idx, value: f64) -> (Idx, Idx) {
-        if t == NIL {
-            return (NIL, NIL);
-        }
-        if self.nodes[t as usize].value.total_cmp(&value) == std::cmp::Ordering::Less {
-            let right = self.nodes[t as usize].right;
-            let (a, b) = self.split_lt(right, value);
-            self.nodes[t as usize].right = a;
-            self.pull(t);
-            (t, b)
-        } else {
-            let left = self.nodes[t as usize].left;
-            let (a, b) = self.split_lt(left, value);
-            self.nodes[t as usize].left = b;
-            self.pull(t);
-            (a, t)
-        }
+    /// Lifts the left child of `t` above it; returns the new subtree root.
+    fn rotate_right(&mut self, t: Idx) -> Idx {
+        let l = self.nodes[t as usize].left;
+        self.nodes[t as usize].left = self.nodes[l as usize].right;
+        self.nodes[l as usize].right = t;
+        self.pull(t);
+        self.pull(l);
+        l
     }
 
-    /// Splits `t` into (<= value, > value).
-    fn split_le(&mut self, t: Idx, value: f64) -> (Idx, Idx) {
-        if t == NIL {
-            return (NIL, NIL);
-        }
-        if self.nodes[t as usize].value.total_cmp(&value) != std::cmp::Ordering::Greater {
-            let right = self.nodes[t as usize].right;
-            let (a, b) = self.split_le(right, value);
-            self.nodes[t as usize].right = a;
-            self.pull(t);
-            (t, b)
-        } else {
-            let left = self.nodes[t as usize].left;
-            let (a, b) = self.split_le(left, value);
-            self.nodes[t as usize].left = b;
-            self.pull(t);
-            (a, t)
-        }
+    /// Lifts the right child of `t` above it; returns the new subtree root.
+    fn rotate_left(&mut self, t: Idx) -> Idx {
+        let r = self.nodes[t as usize].right;
+        self.nodes[t as usize].right = self.nodes[r as usize].left;
+        self.nodes[r as usize].left = t;
+        self.pull(t);
+        self.pull(r);
+        r
     }
 
+    /// Joins two subtrees whose keys are all ordered `a < b`.
     fn merge(&mut self, a: Idx, b: Idx) -> Idx {
         if a == NIL {
             return b;
@@ -246,36 +241,69 @@ impl WeightedTreap {
     /// on first use and freeing it when its element count returns to zero.
     /// `-0.0` and `0.0` are the same key: they tie in an ECDF.
     ///
+    /// One descent from the root finds the value's node. An existing node
+    /// takes the deltas in place (a node whose count reaches zero is
+    /// unlinked by merging its children); a new value becomes a leaf and
+    /// rotates up while its priority exceeds its parent's. Each node on
+    /// the path recomputes its aggregates once, on the way back up.
+    ///
+    /// The caller keeps every node weight and every prefix sum within
+    /// `i32`.
+    ///
     /// # Panics
     ///
     /// Panics on non-finite values, or if the element count would go
     /// negative (removing something never added).
-    pub fn update(&mut self, value: f64, weight_delta: i64, elems_delta: i32) {
+    pub fn update(&mut self, value: f64, weight_delta: i32, elems_delta: i32) {
         assert!(value.is_finite(), "treap keys must be finite");
         let value = value + 0.0; // -0.0 + 0.0 == +0.0
-        let root = self.root;
-        let (a, bc) = self.split_lt(root, value);
-        let (b, c) = self.split_le(bc, value);
-        let b = if b == NIL {
+        self.root = self.update_in(self.root, value, weight_delta, elems_delta);
+    }
+
+    /// [`update`](Self::update) inside the subtree at `t`; returns the
+    /// subtree's new root.
+    fn update_in(&mut self, t: Idx, value: f64, weight_delta: i32, elems_delta: i32) -> Idx {
+        if t == NIL {
             assert!(elems_delta > 0, "removing from a value that has no observations");
-            self.alloc(value, weight_delta, elems_delta as u32)
-        } else {
-            debug_assert_eq!(self.nodes[b as usize].count, 1, "split isolated one value");
-            let node = &mut self.nodes[b as usize];
-            node.weight += weight_delta;
-            let elems = node.elems as i64 + elems_delta as i64;
-            assert!(elems >= 0, "element count underflow at value {value}");
-            if elems == 0 {
-                self.free.push(b);
-                NIL
-            } else {
-                node.elems = elems as u32;
-                self.pull(b);
-                b
+            return self.alloc(value, weight_delta, elems_delta as u32);
+        }
+        let node = &self.nodes[t as usize];
+        match value.total_cmp(&node.value) {
+            Ordering::Less => {
+                let child = self.update_in(node.left, value, weight_delta, elems_delta);
+                self.nodes[t as usize].left = child;
+                // Only a new leaf can outrank its parent.
+                if child != NIL && self.outranks(child, t) {
+                    return self.rotate_right(t);
+                }
             }
-        };
-        let left = self.merge(a, b);
-        self.root = self.merge(left, c);
+            Ordering::Greater => {
+                let child = self.update_in(node.right, value, weight_delta, elems_delta);
+                self.nodes[t as usize].right = child;
+                if child != NIL && self.outranks(child, t) {
+                    return self.rotate_left(t);
+                }
+            }
+            Ordering::Equal => {
+                let elems = i64::from(node.elems) + i64::from(elems_delta);
+                assert!(elems >= 0, "element count underflow at value {value}");
+                if elems == 0 {
+                    let (l, r) = (node.left, node.right);
+                    self.free.push(t);
+                    self.distinct -= 1;
+                    return self.merge(l, r);
+                }
+                let node = &mut self.nodes[t as usize];
+                node.weight += weight_delta;
+                node.elems = elems as u32;
+            }
+        }
+        self.pull(t);
+        t
+    }
+
+    fn outranks(&self, a: Idx, b: Idx) -> bool {
+        self.nodes[a as usize].priority > self.nodes[b as usize].priority
     }
 
     /// In-order `(value, weight, elems)` triples (for tests and debugging).
@@ -292,7 +320,7 @@ impl WeightedTreap {
             // !stack.is_empty()`) plus the descent loop guarantee a frame
             let idx = stack.pop().unwrap();
             let n = &self.nodes[idx as usize];
-            out.push((n.value, n.weight, n.elems));
+            out.push((n.value, i64::from(n.weight), n.elems));
             cur = n.right;
         }
         out
@@ -345,12 +373,12 @@ mod tests {
             if removing {
                 let w = if next() % 2 == 0 { 7 } else { -5 };
                 t.update(value, -w, -1);
-                entry.0 -= w;
+                entry.0 -= i64::from(w);
                 entry.1 -= 1;
             } else {
                 let w = if next() % 2 == 0 { 7 } else { -5 };
                 t.update(value, w, 1);
-                entry.0 += w;
+                entry.0 += i64::from(w);
                 entry.1 += 1;
             }
             if entry.1 == 0 {
@@ -358,6 +386,54 @@ mod tests {
             }
             check(&t, &map, &format!("step {step}"));
         }
+    }
+
+    /// Depth of the deepest node (an empty treap has depth 0).
+    fn depth(t: &WeightedTreap) -> usize {
+        let mut deepest = 0;
+        let mut stack = vec![(t.root, 1)];
+        while let Some((idx, d)) = stack.pop() {
+            if idx != NIL {
+                deepest = deepest.max(d);
+                let n = &t.nodes[idx as usize];
+                stack.extend([(n.left, d + 1), (n.right, d + 1)]);
+            }
+        }
+        deepest
+    }
+
+    #[test]
+    fn values_ordered_by_the_seeds_priorities_keep_the_depth_logarithmic() {
+        // A client that knows the monitor's seed can replay the SplitMix64
+        // stream a treap seeded with it alone would draw, and send the
+        // i-th new value with the rank of the i-th priority. Key order
+        // then equals priority order, which turns an unkeyed treap into a
+        // single path of depth n.
+        let n = 4096usize;
+        let mut state = crate::monitor::TREAP_SEED | 1;
+        let priorities: Vec<u64> = (0..n)
+            .map(|_| {
+                state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+                let mut z = state;
+                z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+                z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+                z ^ (z >> 31)
+            })
+            .collect();
+        let mut by_priority: Vec<usize> = (0..n).collect();
+        by_priority.sort_by_key(|&i| priorities[i]);
+        let mut rank = vec![0usize; n];
+        for (r, &i) in by_priority.iter().enumerate() {
+            rank[i] = r;
+        }
+        let mut t = WeightedTreap::new(crate::monitor::TREAP_SEED);
+        for &r in &rank {
+            t.update(r as f64, 1, 1);
+        }
+        assert_eq!(t.distinct_values(), n);
+        // A random treap of 4096 keys is about 36 deep at most; a path is 4096.
+        let log2 = (usize::BITS - n.leading_zeros()) as usize;
+        assert!(depth(&t) <= 4 * log2, "depth {} for {n} keys", depth(&t));
     }
 
     #[test]

@@ -94,26 +94,40 @@ proptest! {
 
     #[test]
     fn treap_matches_oracle_under_updates(
-        ops in proptest::collection::vec(((0i32..30), (-9i64..10), prop::bool::ANY), 1..200),
+        ops in proptest::collection::vec(((-2i32..30), (-9i32..10), 0u8..3), 1..200),
     ) {
+        // Keys -2, -1 and 0 are `-0.0`, `0.0` and `0.0`: one oracle key,
+        // because signed zeros tie in an ECDF.
         let mut treap = WeightedTreap::new(42);
         let mut map: BTreeMap<i32, (i64, i64)> = BTreeMap::new();
-        for (key, weight, removing) in ops {
-            let value = f64::from(key) * 0.25;
-            let entry = map.entry(key).or_insert((0, 0));
-            if removing && entry.1 > 0 {
-                // Remove one element carrying an arbitrary weight delta; to
-                // keep the oracle consistent we remove weight `weight` too.
-                treap.update(value, -weight, -1);
-                entry.0 -= weight;
-                entry.1 -= 1;
-            } else {
-                treap.update(value, weight, 1);
-                entry.0 += weight;
-                entry.1 += 1;
+        for (key, weight, kind) in ops {
+            let value = match key {
+                -2 => -0.0,
+                k => f64::from(k.max(0)) * 0.25,
+            };
+            let entry = map.entry(key.max(0)).or_insert((0, 0));
+            match kind {
+                1 if entry.1 > 0 => {
+                    // Remove one element carrying an arbitrary weight delta; to
+                    // keep the oracle consistent we remove weight `weight` too.
+                    treap.update(value, -weight, -1);
+                    entry.0 -= i64::from(weight);
+                    entry.1 -= 1;
+                }
+                2 if entry.1 > 0 => {
+                    // The monitor's promotion: a weight change on a live key
+                    // with no element entering or leaving.
+                    treap.update(value, weight, 0);
+                    entry.0 += i64::from(weight);
+                }
+                _ => {
+                    treap.update(value, weight, 1);
+                    entry.0 += i64::from(weight);
+                    entry.1 += 1;
+                }
             }
             if entry.1 == 0 {
-                map.remove(&key);
+                map.remove(&key.max(0));
             }
             // Oracle prefix sums.
             let mut acc = 0i64;
@@ -128,6 +142,8 @@ proptest! {
             prop_assert_eq!(treap.max_prefix(), maxp);
             prop_assert_eq!(treap.min_prefix(), minp);
             prop_assert_eq!(treap.distinct_values(), map.len());
+            let elems: u32 = treap.to_sorted_vec().iter().map(|&(_, _, e)| e).sum();
+            prop_assert_eq!(i64::from(elems), map.values().map(|&(_, e)| e).sum::<i64>());
         }
     }
 }

@@ -136,6 +136,7 @@ fn errors_render_and_propagate_as_std_error() {
         MocheError::LimitExceeded { checks: 5 },
         MocheError::PreferenceLengthMismatch { expected: 3, actual: 2 },
         MocheError::ConstructionIncomplete { built: 1, k: 2 },
+        MocheError::SamplesTooLarge { n: 1 << 16, m: 1 << 16 },
     ];
     for e in samples {
         let boxed: Box<dyn std::error::Error> = Box::new(e.clone());
