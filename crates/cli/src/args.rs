@@ -69,7 +69,7 @@ pub enum Command {
         format: OutputFormat,
     },
     /// `moche batch REF WINDOWS [--alpha A] [--threads N] [--preference SRC]
-    /// [--format F] [--stream] [--size-only]`
+    /// [--format F] [--size-only]`
     Batch {
         /// Reference data file (shared by every window).
         reference: PathBuf,
@@ -83,15 +83,11 @@ pub enum Command {
         preference: PreferenceSource,
         /// Output format.
         format: OutputFormat,
-        /// Stream windows through the bounded-memory engine instead of
-        /// loading the file up front.
-        stream: bool,
         /// Phase 1 only: report each window's explanation size `k` without
         /// constructing the explanation.
         size_only: bool,
     },
-    /// `moche batch2d REF WINDOWS [--alpha A] [--threads N] [--format F]
-    /// [--stream]`
+    /// `moche batch2d REF WINDOWS [--alpha A] [--threads N] [--format F]`
     Batch2d {
         /// Reference point file (shared by every window): one `x y` (or
         /// `x,y`) pair per line.
@@ -105,9 +101,6 @@ pub enum Command {
         threads: usize,
         /// Output format.
         format: OutputFormat,
-        /// Stream windows through the bounded-memory 2-D engine instead of
-        /// loading the file up front.
-        stream: bool,
     },
     /// `moche monitor SERIES --window W [--alpha A] [--no-explain]
     /// [--size-only] [--checkpoint PATH [--checkpoint-every N]]
@@ -157,15 +150,17 @@ USAGE:
       SRC: sr (Spectral Residual, default) | scores (test file's 2nd column)
            | score-file:PATH | value-desc | value-asc | identity
   moche batch   <REF> <WINDOWS> [--alpha A] [--threads N] [--preference SRC]
-                [--format text|csv] [--stream] [--size-only]
+                [--format text|csv] [--size-only]
       Explain many failed tests against one shared reference, in parallel.
-      WINDOWS holds one test window per line (comma/space separated).
+      WINDOWS holds one test window per line (comma/space separated); it
+      is read as the windows are explained, so memory stays constant
+      however long the file is, and each result is printed as it is
+      delivered. A malformed line ends the run with exit code 1 after the
+      results of the windows before it. --size-only reports each window's
+      explanation size k (Phase 1 only) without constructing the
+      explanation.
       SRC: sr (default) | value-desc | value-asc | identity
-      --stream reads windows lazily through the bounded-memory streaming
-      engine; --size-only reports each window's explanation size k
-      (Phase 1 only) without constructing the explanation.
   moche batch2d <REF> <WINDOWS> [--alpha A] [--threads N] [--format text|csv]
-                [--stream]
       Explain many failed 2-D (Fasano-Franceschini) KS tests against one
       shared reference of points. REF holds one 'x y' (or 'x,y') point per
       line; WINDOWS holds one window per line as a flat coordinate list
@@ -173,8 +168,7 @@ USAGE:
       Explanations are reported as 0-based point offsets into the window
       (csv rows are 'window,index'). Points have no scalar order, so the
       preference is input order; --preference identity is the only
-      accepted source. --stream reads windows lazily through the
-      bounded-memory 2-D streaming engine.
+      accepted source. WINDOWS is read as in batch.
   moche monitor <SERIES> --window W [--alpha A] [--no-explain] [--size-only]
                 [--checkpoint PATH [--checkpoint-every N]] [--resume PATH]
       Stream a series through paired sliding windows; explain each alarm.
@@ -210,12 +204,11 @@ Data files: one number per line; '#' starts a comment; for 'explain
 OPTIONS:
   --alpha A     significance level (default 0.05)
   --format F    explain/batch output: text (default) or csv
-  --threads N   batch: worker threads (default 0 = all cores)
+  --threads N   batch/batch2d: worker-thread cap (default 0 = all cores);
+                a run uses no more threads than it has windows, and the
+                summary reports the count used
   --window W    monitor window size (required for monitor)
   --no-explain  monitor: raise alarms without computing explanations
-  --stream      batch: bounded-memory streaming ingestion (results are
-                printed as they are delivered; memory stays constant
-                however long the windows file is)
   --size-only   batch/monitor: Phase-1 size k only, skip Phase 2
   --checkpoint PATH
                 monitor: write a checksummed snapshot of the monitor state
@@ -317,7 +310,6 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
     let mut window: Option<usize> = None;
     let mut threads = 0usize;
     let mut explain = true;
-    let mut stream = false;
     let mut size_only = false;
     let mut checkpoint: Option<PathBuf> = None;
     let mut checkpoint_every: Option<u64> = None;
@@ -369,7 +361,6 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
                 window = Some(w);
             }
             "--no-explain" => explain = false,
-            "--stream" => stream = true,
             "--size-only" => size_only = true,
             "--checkpoint" => {
                 let raw =
@@ -536,7 +527,6 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
                 threads,
                 preference,
                 format,
-                stream,
                 size_only,
             })
         }
@@ -565,7 +555,6 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
                 alpha,
                 threads,
                 format,
-                stream,
             })
         }
         "monitor" => {
@@ -780,7 +769,6 @@ mod tests {
                 threads,
                 preference,
                 format,
-                stream,
                 size_only,
             } => {
                 assert_eq!(reference, PathBuf::from("r.txt"));
@@ -789,16 +777,12 @@ mod tests {
                 assert_eq!(threads, 8);
                 assert_eq!(preference, PreferenceSource::SpectralResidual);
                 assert_eq!(format, OutputFormat::Text);
-                assert!(!stream);
                 assert!(!size_only);
             }
             other => panic!("unexpected {other:?}"),
         }
-        match parse_ok(&["batch", "r.txt", "w.csv", "--stream", "--size-only"]) {
-            Command::Batch { stream, size_only, .. } => {
-                assert!(stream);
-                assert!(size_only);
-            }
+        match parse_ok(&["batch", "r.txt", "w.csv", "--size-only"]) {
+            Command::Batch { size_only, .. } => assert!(size_only),
             other => panic!("unexpected {other:?}"),
         }
         assert!(matches!(parse_err(&["batch", "r.txt"]), CliError::Usage(_)));
@@ -812,21 +796,17 @@ mod tests {
     #[test]
     fn parses_batch2d() {
         match parse_ok(&["batch2d", "r.txt", "w.csv", "--threads", "4", "--alpha", "0.1"]) {
-            Command::Batch2d { reference, windows, alpha, threads, format, stream } => {
+            Command::Batch2d { reference, windows, alpha, threads, format } => {
                 assert_eq!(reference, PathBuf::from("r.txt"));
                 assert_eq!(windows, PathBuf::from("w.csv"));
                 assert_eq!(alpha, 0.1);
                 assert_eq!(threads, 4);
                 assert_eq!(format, OutputFormat::Text);
-                assert!(!stream);
             }
             other => panic!("unexpected {other:?}"),
         }
-        match parse_ok(&["batch2d", "r", "w", "--stream", "--format", "csv"]) {
-            Command::Batch2d { stream, format, .. } => {
-                assert!(stream);
-                assert_eq!(format, OutputFormat::Csv);
-            }
+        match parse_ok(&["batch2d", "r", "w", "--format", "csv"]) {
+            Command::Batch2d { format, .. } => assert_eq!(format, OutputFormat::Csv),
             other => panic!("unexpected {other:?}"),
         }
         // Input order is the only meaningful 2-D preference: saying so

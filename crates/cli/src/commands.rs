@@ -6,24 +6,22 @@
 
 use crate::args::{Command, OutputFormat, PreferenceSource};
 use crate::io::{
-    read_point_windows, read_points, read_values, read_values_and_scores, read_windows, CliError,
-    PointWindowStream, WindowStream,
+    parse_point_window_line_into, parse_window_line_into, read_points, read_values,
+    read_values_and_scores, CliError, WindowReader,
 };
 use moche_core::ks::asymptotic_p_value;
 use moche_core::{
-    BatchExplainer, Moche, MocheError, PreferenceList, ReferenceIndex, SortedReference, StreamMode,
-    StreamResult, StreamingBatchExplainer, WindowPreferences, WindowReport,
+    Moche, MocheError, PreferenceList, ReferenceIndex, StreamMode, StreamResult, StreamSummary,
+    StreamingBatchExplainer, WindowReport,
 };
-use moche_multidim::{
-    Batch2dExplainer, Explanation2d, Point2, RankIndex2d, Stream2dExplainer, Stream2dResult,
-};
+use moche_multidim::{Explanation2d, Point2, RankIndex2d, Stream2dExplainer, Stream2dResult};
 use moche_sigproc::{SaliencyScratch, SpectralResidual};
 use moche_stream::{DriftMonitor, MonitorConfig, MonitorEvent, MonitorSnapshot};
 use std::cell::RefCell;
 use std::io::Write;
 use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// Fault-tolerance bookkeeping for one run: everything that went wrong but
 /// was survived, plus the crash-safety work done. Surfaced in the text
@@ -137,33 +135,14 @@ pub fn run(command: Command, out: &mut dyn Write) -> Result<RunStatus, CliError>
             let (t, scores) = read_values_and_scores(&test)?;
             run_explain(&r, &t, scores, alpha, &preference, format, out)
         }
-        Command::Batch {
-            reference,
-            windows,
-            alpha,
-            threads,
-            preference,
-            format,
-            stream,
-            size_only,
-        } => {
+        Command::Batch { reference, windows, alpha, threads, preference, format, size_only } => {
             let r = read_values(&reference)?;
             let opts = BatchOptions { alpha, threads, preference: &preference, format };
-            if stream || size_only {
-                run_batch_stream(&r, &windows, &opts, size_only, out)
-            } else {
-                let w = read_windows(&windows)?;
-                run_batch(&r, &w, &opts, out)
-            }
+            run_batch_stream(&r, &windows, &opts, size_only, out)
         }
-        Command::Batch2d { reference, windows, alpha, threads, format, stream } => {
+        Command::Batch2d { reference, windows, alpha, threads, format } => {
             let r = read_points(&reference)?;
-            if stream {
-                run_batch2d_stream(&r, &windows, alpha, threads, format, out)
-            } else {
-                let w = read_point_windows(&windows)?;
-                run_batch2d(&r, &w, alpha, threads, format, out)
-            }
+            run_batch_stream_2d(&r, &windows, alpha, threads, format, out)
         }
         Command::Monitor {
             series,
@@ -240,9 +219,9 @@ thread_local! {
 
 /// Derives one window's preference list from sources that need only the
 /// window values — the per-window score work `moche batch` runs *inside*
-/// the worker threads (see [`WindowPreferences::Scored`]). A window SR
-/// cannot score (too short, non-finite, or overflowing the transform) is
-/// ranked in identity order and counted in `degraded`.
+/// the worker threads (see [`moche_core::WindowPreferences::Scored`]). A
+/// window SR cannot score (too short, non-finite, or overflowing the
+/// transform) is ranked in identity order and counted in `degraded`.
 ///
 /// # Panics
 ///
@@ -385,7 +364,7 @@ fn requested_threads(threads: usize) -> String {
     }
 }
 
-/// The shared flags of `moche batch` and `moche batch --stream`.
+/// The flags of `moche batch`.
 struct BatchOptions<'a> {
     alpha: f64,
     threads: usize,
@@ -393,109 +372,7 @@ struct BatchOptions<'a> {
     format: OutputFormat,
 }
 
-fn run_batch(
-    r: &[f64],
-    windows: &[Vec<f64>],
-    opts: &BatchOptions<'_>,
-    out: &mut dyn Write,
-) -> Result<RunStatus, CliError> {
-    if windows.is_empty() {
-        return Err(CliError::Usage("windows file contains no windows".into()));
-    }
-    let shared = SortedReference::new(r)?;
-    let explainer = BatchExplainer::new(opts.alpha)?.threads(opts.threads);
-    // The requested cap silently shrinks to the core and job counts (a
-    // 1 means the batch ran sequentially), so report the effective
-    // number, not the flag.
-    let effective = explainer.effective_threads(windows.len());
-    // Preference scoring (Spectral Residual in particular) runs inside the
-    // worker threads, parallelized along with the explanations; a
-    // per-window scoring failure lands in that window's result slot.
-    let degraded = AtomicUsize::new(0);
-    let score = |_: usize, w: &[f64]| window_preference(w, opts.preference, &degraded);
-    let started = Instant::now();
-    let results =
-        explainer.explain_windows_with(&shared, windows, WindowPreferences::Scored(&score));
-    let elapsed = started.elapsed();
-
-    let mut explained = 0usize;
-    let mut passing = 0usize;
-    let worker_panics =
-        results.iter().filter(|r| matches!(r, Err(MocheError::WorkerPanicked { .. }))).count();
-    let health = HealthReport {
-        worker_panics,
-        // lint:allow(relaxed): monotonic stats counter; no cross-thread handoff rides on it
-        degraded_preferences: degraded.load(Ordering::Relaxed),
-        ..HealthReport::default()
-    };
-    match opts.format {
-        OutputFormat::Csv => {
-            writeln!(out, "window,index,value")?;
-            writeln!(out, "# threads: {effective}")?;
-            for (w, result) in results.iter().enumerate() {
-                match result {
-                    Ok(e) => {
-                        explained += 1;
-                        for (&i, &v) in e.indices().iter().zip(e.values()) {
-                            writeln!(out, "{w},{i},{v}")?;
-                        }
-                    }
-                    // A passing window legitimately has no rows.
-                    Err(MocheError::TestAlreadyPasses { .. }) => passing += 1,
-                    // Any other error must not vanish from the output.
-                    Err(e) => {
-                        writeln!(out, "# window {w}: error: {e}")?;
-                    }
-                }
-            }
-            writeln!(out, "# {}", health.summary())?;
-        }
-        OutputFormat::Text => {
-            for (w, result) in results.iter().enumerate() {
-                match result {
-                    Ok(e) => {
-                        explained += 1;
-                        writeln!(
-                            out,
-                            "window {w}: k = {} ({:.1}% of {} points), indices {:?}",
-                            e.size(),
-                            100.0 * e.removed_fraction(),
-                            e.m,
-                            e.indices()
-                        )?;
-                    }
-                    Err(MocheError::TestAlreadyPasses { .. }) => {
-                        passing += 1;
-                        writeln!(out, "window {w}: passes (nothing to explain)")?;
-                    }
-                    Err(e) => {
-                        writeln!(out, "window {w}: error: {e}")?;
-                    }
-                }
-            }
-            let secs = elapsed.as_secs_f64();
-            writeln!(
-                out,
-                "\n{} window(s): {explained} explained, {passing} passing, {} error(s) \
-                 in {:.3}s ({:.0} explanations/s) on {effective} worker thread(s) \
-                 (requested {})",
-                windows.len(),
-                windows.len() - explained - passing,
-                secs,
-                if secs > 0.0 { explained as f64 / secs } else { 0.0 },
-                requested_threads(opts.threads)
-            )?;
-            writeln!(out, "{}", health.summary())?;
-        }
-    }
-    Ok(RunStatus {
-        window_errors: windows.len() - explained - passing,
-        windows_explained: explained,
-        health,
-    })
-}
-
-/// Renders one streamed window result (see [`run_batch_stream`]).
+/// Renders one delivered window result (see [`run_batch_stream`]).
 fn write_stream_result(
     out: &mut dyn Write,
     format: OutputFormat,
@@ -540,14 +417,14 @@ fn write_stream_result(
     }
 }
 
-/// `moche batch --stream` / `--size-only`: windows are read lazily into
-/// recycled buffers and fed through the bounded-memory
-/// [`StreamingBatchExplainer`] over an indexed reference; each result is
-/// **printed as it is delivered** (in window order) and its output buffers
-/// are reclaimed, so memory stays constant however long the stream is.
+/// `moche batch`: windows are read lazily into recycled buffers and fed
+/// through the bounded-memory [`StreamingBatchExplainer`] over an indexed
+/// reference; each result is **printed as it is delivered** (in window
+/// order) and its output buffers are reclaimed, so memory stays constant
+/// however long the windows file is. `--size-only` runs Phase 1 alone.
 fn run_batch_stream(
     r: &[f64],
-    windows: &std::path::Path,
+    windows: &Path,
     opts: &BatchOptions<'_>,
     size_only: bool,
     out: &mut dyn Write,
@@ -555,81 +432,86 @@ fn run_batch_stream(
     let index = ReferenceIndex::new(r)?;
     let mode = if size_only { StreamMode::SizeOnly } else { StreamMode::Explain };
     let streamer = StreamingBatchExplainer::new(opts.alpha)?.threads(opts.threads).mode(mode);
-    let effective = streamer.effective_threads();
-    let (mut stream, error_slot) = WindowStream::open(windows)?;
+    let mut reader = WindowReader::open(windows, parse_window_line_into)?;
     let degraded = AtomicUsize::new(0);
     let score = |_: usize, w: &[f64]| window_preference(w, opts.preference, &degraded);
 
     if opts.format == OutputFormat::Csv {
         writeln!(out, "{}", if size_only { "window,k,k_hat" } else { "window,index,value" })?;
-        writeln!(out, "# threads: {effective}")?;
     }
     let started = Instant::now();
-    // The callback cannot propagate `?`; park the first write error and go
-    // quiet for the rest of the stream.
-    let mut write_error: Option<std::io::Error> = None;
+    // The callback cannot propagate `?`: keep the first write error and go
+    // quiet for the rest of the run.
+    let mut written = Ok(());
     let summary = streamer.explain_source(
         &index,
-        |buf: &mut Vec<f64>| stream.fill(buf),
+        |buf: &mut Vec<f64>| reader.fill(buf),
         Some(&score),
         |res: &StreamResult| {
-            if write_error.is_none() {
-                if let Err(e) = write_stream_result(out, opts.format, res) {
-                    write_error = Some(e);
-                }
+            if written.is_ok() {
+                written = write_stream_result(out, opts.format, res);
             }
         },
     );
     let elapsed = started.elapsed();
-    if let Some(e) = write_error {
-        return Err(CliError::Write(e));
-    }
-    // A malformed line stops the stream. Results already delivered have
-    // been printed (that is the point of streaming); surfacing the error
-    // exits nonzero, so consumers never mistake a truncated run for a
-    // complete one. The slot is a plain Option swap, so a poisoned lock
-    // carries no torn state — recover it rather than panic in reporting.
-    let parked = error_slot.lock().unwrap_or_else(std::sync::PoisonError::into_inner).take();
-    if let Some(e) = parked {
-        return Err(e);
-    }
-    if summary.windows == 0 {
-        return Err(CliError::Usage("windows file contains no windows".into()));
-    }
+    written?;
+    // A malformed line ended the run early: fail after the windows already
+    // printed, so a truncated run never reads as a complete one.
+    reader.finish()?;
     let health = HealthReport {
         worker_panics: summary.panics,
         // lint:allow(relaxed): monotonic stats counter; no cross-thread handoff rides on it
         degraded_preferences: degraded.load(Ordering::Relaxed),
         ..HealthReport::default()
     };
-    if opts.format == OutputFormat::Csv {
-        writeln!(out, "# {}", health.summary())?;
+    let verb = if size_only { "sized" } else { "explained" };
+    write_batch_trailer(out, opts.format, &summary, health, elapsed, opts.threads, verb)
+}
+
+/// Ends a batch run whose windows have all been printed: rejects an empty
+/// windows file, then writes the trailer (`# threads:` and `# health:` in
+/// csv, the summary and health lines in text).
+fn write_batch_trailer(
+    out: &mut dyn Write,
+    format: OutputFormat,
+    summary: &StreamSummary,
+    health: HealthReport,
+    elapsed: Duration,
+    requested: usize,
+    verb: &str,
+) -> Result<RunStatus, CliError> {
+    if summary.windows == 0 {
+        return Err(CliError::Usage("windows file contains no windows".into()));
     }
-    if opts.format == OutputFormat::Text {
-        let secs = elapsed.as_secs_f64();
-        writeln!(
-            out,
-            "\n{} window(s) streamed: {} {}, {} passing, {} error(s) in {:.3}s \
-             ({:.0} windows/s) on {} worker thread(s) (requested {})",
-            summary.windows,
-            summary.explained,
-            if size_only { "sized" } else { "explained" },
-            summary.passing,
-            summary.errors,
-            secs,
-            if secs > 0.0 { summary.windows as f64 / secs } else { 0.0 },
-            summary.threads,
-            requested_threads(opts.threads)
-        )?;
-        writeln!(out, "{}", health.summary())?;
+    match format {
+        OutputFormat::Csv => {
+            writeln!(out, "# threads: {}", summary.threads)?;
+            writeln!(out, "# {}", health.summary())?;
+        }
+        OutputFormat::Text => {
+            let secs = elapsed.as_secs_f64();
+            writeln!(
+                out,
+                "\n{} window(s): {} {verb}, {} passing, {} error(s) in {secs:.3}s \
+                 ({:.0} windows/s) on {} worker thread(s) (requested {})",
+                summary.windows,
+                summary.explained,
+                summary.passing,
+                summary.errors,
+                if secs > 0.0 { summary.windows as f64 / secs } else { 0.0 },
+                summary.threads,
+                requested_threads(requested)
+            )?;
+            writeln!(out, "{}", health.summary())?;
+        }
     }
     Ok(RunStatus { window_errors: summary.errors, windows_explained: summary.explained, health })
 }
 
-/// Renders one 2-D window result, shared by the eager and streaming paths.
-/// Explanations carry window-relative point offsets (a 2-D window line is a
-/// flat coordinate list, so the offset — not a coordinate echo — is the
-/// stable way to address a point); csv rows are `window,index`.
+/// Renders one 2-D window result. Explanations carry window-relative point
+/// offsets (a 2-D window line is a flat coordinate list, so the offset —
+/// not a coordinate echo — is the stable way to address a point); csv rows
+/// are `window,index`.
 fn write_batch2d_result(
     out: &mut dyn Write,
     format: OutputFormat,
@@ -665,76 +547,14 @@ fn write_batch2d_result(
     }
 }
 
-/// `moche batch2d`: every window explained in parallel against one shared
-/// [`RankIndex2d`], mirroring [`run_batch`]'s report, health, and exit-code
+/// `moche batch2d`: point windows are read lazily into recycled buffers and
+/// fed through the bounded-memory [`Stream2dExplainer`] over one shared
+/// [`RankIndex2d`]; each result is printed as it is delivered (in window
+/// order), with [`run_batch_stream`]'s trailer, health and exit-code
 /// contract on 2-D (Fasano-Franceschini) tests.
-fn run_batch2d(
+fn run_batch_stream_2d(
     r: &[Point2],
-    windows: &[Vec<Point2>],
-    alpha: f64,
-    threads: usize,
-    format: OutputFormat,
-    out: &mut dyn Write,
-) -> Result<RunStatus, CliError> {
-    if windows.is_empty() {
-        return Err(CliError::Usage("windows file contains no windows".into()));
-    }
-    let index = RankIndex2d::new(r)?;
-    let explainer = Batch2dExplainer::new(alpha)?.threads(threads);
-    let effective = explainer.effective_threads(windows.len());
-    let started = Instant::now();
-    let results = explainer.explain_windows(&index, windows, None);
-    let elapsed = started.elapsed();
-
-    let mut explained = 0usize;
-    let mut passing = 0usize;
-    let worker_panics =
-        results.iter().filter(|r| matches!(r, Err(MocheError::WorkerPanicked { .. }))).count();
-    let health = HealthReport { worker_panics, ..HealthReport::default() };
-    if format == OutputFormat::Csv {
-        writeln!(out, "window,index")?;
-        writeln!(out, "# threads: {effective}")?;
-    }
-    for (w, result) in results.iter().enumerate() {
-        match result {
-            Ok(_) => explained += 1,
-            Err(MocheError::TestAlreadyPasses { .. }) => passing += 1,
-            Err(_) => {}
-        }
-        write_batch2d_result(out, format, w, result)?;
-    }
-    match format {
-        OutputFormat::Csv => writeln!(out, "# {}", health.summary())?,
-        OutputFormat::Text => {
-            let secs = elapsed.as_secs_f64();
-            writeln!(
-                out,
-                "\n{} window(s): {explained} explained, {passing} passing, {} error(s) \
-                 in {:.3}s ({:.0} explanations/s) on {effective} worker thread(s) \
-                 (requested {})",
-                windows.len(),
-                windows.len() - explained - passing,
-                secs,
-                if secs > 0.0 { explained as f64 / secs } else { 0.0 },
-                requested_threads(threads)
-            )?;
-            writeln!(out, "{}", health.summary())?;
-        }
-    }
-    Ok(RunStatus {
-        window_errors: windows.len() - explained - passing,
-        windows_explained: explained,
-        health,
-    })
-}
-
-/// `moche batch2d --stream`: point windows are read lazily into recycled
-/// buffers and fed through the bounded-memory [`Stream2dExplainer`]; each
-/// result is printed as it is delivered (in window order), so memory stays
-/// constant however long the stream is.
-fn run_batch2d_stream(
-    r: &[Point2],
-    windows: &std::path::Path,
+    windows: &Path,
     alpha: f64,
     threads: usize,
     format: OutputFormat,
@@ -742,66 +562,28 @@ fn run_batch2d_stream(
 ) -> Result<RunStatus, CliError> {
     let index = RankIndex2d::new(r)?;
     let streamer = Stream2dExplainer::new(alpha)?.threads(threads);
-    let effective = streamer.effective_threads();
-    let (mut stream, error_slot) = PointWindowStream::open(windows)?;
+    let mut reader = WindowReader::open(windows, parse_point_window_line_into)?;
 
     if format == OutputFormat::Csv {
         writeln!(out, "window,index")?;
-        writeln!(out, "# threads: {effective}")?;
     }
     let started = Instant::now();
-    // The callback cannot propagate `?`; park the first write error and go
-    // quiet for the rest of the stream.
-    let mut write_error: Option<std::io::Error> = None;
+    let mut written = Ok(());
     let summary = streamer.explain_source(
         &index,
-        |buf: &mut Vec<Point2>| stream.fill(buf),
+        |buf: &mut Vec<Point2>| reader.fill(buf),
         None,
         |res: &Stream2dResult| {
-            if write_error.is_none() {
-                if let Err(e) = write_batch2d_result(out, format, res.window, &res.result) {
-                    write_error = Some(e);
-                }
+            if written.is_ok() {
+                written = write_batch2d_result(out, format, res.window, &res.result);
             }
         },
     );
     let elapsed = started.elapsed();
-    if let Some(e) = write_error {
-        return Err(CliError::Write(e));
-    }
-    // A malformed line stops the stream; surfacing the parked error exits
-    // nonzero, so consumers never mistake a truncated run for a complete
-    // one (results already delivered have been printed — that is the point
-    // of streaming).
-    let parked = error_slot.lock().unwrap_or_else(std::sync::PoisonError::into_inner).take();
-    if let Some(e) = parked {
-        return Err(e);
-    }
-    if summary.windows == 0 {
-        return Err(CliError::Usage("windows file contains no windows".into()));
-    }
+    written?;
+    reader.finish()?;
     let health = HealthReport { worker_panics: summary.panics, ..HealthReport::default() };
-    if format == OutputFormat::Csv {
-        writeln!(out, "# {}", health.summary())?;
-    }
-    if format == OutputFormat::Text {
-        let secs = elapsed.as_secs_f64();
-        writeln!(
-            out,
-            "\n{} window(s) streamed: {} explained, {} passing, {} error(s) in {:.3}s \
-             ({:.0} windows/s) on {} worker thread(s) (requested {})",
-            summary.windows,
-            summary.explained,
-            summary.passing,
-            summary.errors,
-            secs,
-            if secs > 0.0 { summary.windows as f64 / secs } else { 0.0 },
-            summary.threads,
-            requested_threads(threads)
-        )?;
-        writeln!(out, "{}", health.summary())?;
-    }
-    Ok(RunStatus { window_errors: summary.errors, windows_explained: summary.explained, health })
+    write_batch_trailer(out, format, &summary, health, elapsed, threads, "explained")
 }
 
 /// The flags of `moche monitor` (see [`crate::args::Command::Monitor`]).
@@ -1072,12 +854,57 @@ mod tests {
         }
     }
 
+    /// A throwaway on-disk windows file, one window per line.
+    struct TempWindows(std::path::PathBuf);
+
+    impl TempWindows {
+        fn new(content: &str) -> Self {
+            static NEXT: AtomicUsize = AtomicUsize::new(0);
+            // lint:allow(relaxed): a unique file-name counter; nothing else rides on it
+            let n = NEXT.fetch_add(1, Ordering::Relaxed);
+            let path = std::env::temp_dir()
+                .join(format!("moche-batch-test-{}-{n}.csv", std::process::id()));
+            std::fs::write(&path, content).unwrap();
+            Self(path)
+        }
+
+        fn of(windows: &[Vec<f64>]) -> Self {
+            let content: String = windows
+                .iter()
+                .map(|w| w.iter().map(f64::to_string).collect::<Vec<_>>().join(",") + "\n")
+                .collect();
+            Self::new(&content)
+        }
+    }
+
+    impl Drop for TempWindows {
+        fn drop(&mut self) {
+            let _ = std::fs::remove_file(&self.0);
+        }
+    }
+
+    /// `moche batch` over `windows`, written to a windows file first.
+    fn batch(
+        r: &[f64],
+        windows: &[Vec<f64>],
+        opts: &BatchOptions<'_>,
+    ) -> Result<(String, RunStatus), CliError> {
+        let file = TempWindows::of(windows);
+        capture(|o| run_batch_stream(r, &file.0, opts, false, o))
+    }
+
+    /// The csv rows of window `w`, without the window column.
+    fn window_rows(csv: &str, w: usize) -> Vec<String> {
+        let prefix = format!("{w},");
+        csv.lines().filter_map(|l| l.strip_prefix(&prefix)).map(str::to_string).collect()
+    }
+
     #[test]
     fn batch_reports_per_window_outcomes() {
         let (r, t) = shifted_sets();
         let windows = vec![t.clone(), r.clone(), t];
         let opts = batch_opts(0.05, 2, &PreferenceSource::Identity, OutputFormat::Text);
-        let (out, status) = capture(|o| run_batch(&r, &windows, &opts, o)).unwrap();
+        let (out, status) = batch(&r, &windows, &opts).unwrap();
         assert!(out.contains("window 0: k = "), "{out}");
         assert!(out.contains("window 1: passes"), "{out}");
         assert!(out.contains("2 explained, 1 passing"), "{out}");
@@ -1091,38 +918,48 @@ mod tests {
         let (r, t) = shifted_sets();
         let windows = vec![t.clone(), t];
         let opts = batch_opts(0.05, 0, &PreferenceSource::ValueDesc, OutputFormat::Csv);
-        let (out, _) = capture(|o| run_batch(&r, &windows, &opts, o)).unwrap();
+        let (out, _) = batch(&r, &windows, &opts).unwrap();
         assert!(out.starts_with("window,index,value"));
-        assert!(out.lines().any(|l| l.starts_with("0,")));
-        assert!(out.lines().any(|l| l.starts_with("1,")));
+        assert!(out.lines().any(|l| l.starts_with("# health:")), "{out}");
         // Both windows are identical: their selections must match.
-        let rows = |w: &str| {
-            out.lines()
-                .filter(|l| l.starts_with(w))
-                .map(|l| l.split_once(',').unwrap().1.to_string())
-                .collect::<Vec<_>>()
-        };
-        assert_eq!(rows("0,"), rows("1,"));
+        assert!(!window_rows(&out, 0).is_empty(), "{out}");
+        assert_eq!(window_rows(&out, 0), window_rows(&out, 1));
     }
 
+    /// Every window's rows equal `moche explain` on that window alone, at
+    /// every thread count; a passing window has no rows.
     #[test]
-    fn batch_matches_sequential_explain() {
+    fn batch_rows_match_explain_per_window() {
         let (r, t) = shifted_sets();
-        let windows = vec![t.clone()];
-        let opts = batch_opts(0.05, 1, &PreferenceSource::Identity, OutputFormat::Csv);
-        let (csv, _) = capture(|o| run_batch(&r, &windows, &opts, o)).unwrap();
-        let (single, _) = capture(|o| {
-            run_explain(&r, &t, None, 0.05, &PreferenceSource::Identity, OutputFormat::Csv, o)
-        })
-        .unwrap();
-        let batch_rows: Vec<&str> = csv
-            .lines()
-            .skip(1)
-            .filter(|l| !l.starts_with('#'))
-            .map(|l| l.split_once(',').unwrap().1)
-            .collect();
-        let single_rows: Vec<&str> = single.lines().skip(1).collect();
-        assert_eq!(batch_rows, single_rows);
+        let other: Vec<f64> = t.iter().map(|v| v + 1.5).collect();
+        let windows = vec![t, r.clone(), other];
+        let file = TempWindows::of(&windows);
+        for threads in [1, 2, 8] {
+            let opts = batch_opts(0.05, threads, &PreferenceSource::ValueDesc, OutputFormat::Csv);
+            let (csv, status) =
+                capture(|o| run_batch_stream(&r, &file.0, &opts, false, o)).unwrap();
+            assert_eq!(status.windows_explained, 2);
+            assert!(csv.lines().any(|l| l == format!("# threads: {}", threads.min(3))), "{csv}");
+            for (w, window) in windows.iter().enumerate() {
+                let single = capture(|o| {
+                    run_explain(
+                        &r,
+                        window,
+                        None,
+                        0.05,
+                        &PreferenceSource::ValueDesc,
+                        OutputFormat::Csv,
+                        o,
+                    )
+                });
+                let expected: Vec<String> = match single {
+                    Ok((out, _)) => out.lines().skip(1).map(str::to_string).collect(),
+                    Err(CliError::Moche(MocheError::TestAlreadyPasses { .. })) => Vec::new(),
+                    Err(e) => panic!("window {w}: {e}"),
+                };
+                assert_eq!(window_rows(&csv, w), expected, "window {w}, threads {threads}");
+            }
+        }
     }
 
     #[test]
@@ -1134,7 +971,7 @@ mod tests {
         // window; the error surfaces as a CSV comment instead.
         for source in [PreferenceSource::SpectralResidual, PreferenceSource::Identity] {
             let opts = batch_opts(0.05, 1, &source, OutputFormat::Csv);
-            let (out, status) = capture(|o| run_batch(&r, &windows, &opts, o)).unwrap();
+            let (out, status) = batch(&r, &windows, &opts).unwrap();
             assert!(out.lines().any(|l| l.starts_with("0,")), "{out}");
             assert!(out.lines().any(|l| l.starts_with("# window 1: error:")), "{out}");
             assert_eq!(status.window_errors, 1);
@@ -1151,7 +988,7 @@ mod tests {
         let bad = vec![f64::NAN, 1.0, 2.0, 3.0, 4.0];
         let windows = vec![t, bad];
         let opts = batch_opts(0.05, 1, &PreferenceSource::ValueDesc, OutputFormat::Text);
-        let (out, _) = capture(|o| run_batch(&r, &windows, &opts, o)).unwrap();
+        let (out, _) = batch(&r, &windows, &opts).unwrap();
         assert!(out.contains("window 0: k = "), "{out}");
         assert!(out.contains("window 1: error: invalid preference"), "{out}");
         assert!(out.contains("1 explained"), "{out}");
@@ -1160,10 +997,12 @@ mod tests {
     #[test]
     fn batch_all_error_runs_exit_nonzero() {
         let (r, _) = shifted_sets();
+        // Every window carries a NaN: the file parses (NaN is a float) but
+        // each window fails with NonFiniteValue.
         let bad = vec![f64::NAN, 1.0, 2.0, 3.0, 4.0];
         let windows = vec![bad.clone(), bad];
         let opts = batch_opts(0.05, 1, &PreferenceSource::Identity, OutputFormat::Text);
-        let (out, status) = capture(|o| run_batch(&r, &windows, &opts, o)).unwrap();
+        let (out, status) = batch(&r, &windows, &opts).unwrap();
         assert!(out.contains("window 0: error:"), "{out}");
         assert_eq!(status.window_errors, 2);
         assert_eq!(status.windows_explained, 0);
@@ -1173,13 +1012,13 @@ mod tests {
     #[test]
     fn batch_passing_windows_do_not_mask_an_all_error_run() {
         // Passing windows are not errors, but they are not explanations
-        // either: a stream that produced nothing and hit a real error
-        // still reports failure.
+        // either: a run that produced nothing and hit a real error still
+        // reports failure.
         let (r, _) = shifted_sets();
         let bad = vec![f64::NAN, 1.0, 2.0, 3.0, 4.0];
         let windows = vec![r.clone(), bad];
         let opts = batch_opts(0.05, 1, &PreferenceSource::Identity, OutputFormat::Text);
-        let (out, status) = capture(|o| run_batch(&r, &windows, &opts, o)).unwrap();
+        let (out, status) = batch(&r, &windows, &opts).unwrap();
         assert!(out.contains("window 0: passes"), "{out}");
         assert_eq!(status.window_errors, 1);
         assert_eq!(status.windows_explained, 0);
@@ -1193,18 +1032,17 @@ mod tests {
         // identity (counted in health) and the window itself then fails
         // input validation.
         let bad = vec![f64::NAN, 1.0, 2.0, 3.0, 4.0];
-        let windows = vec![t, bad];
+        let windows = vec![t.clone(), bad];
         let opts = batch_opts(0.05, 1, &PreferenceSource::SpectralResidual, OutputFormat::Csv);
-        let (out, status) = capture(|o| run_batch(&r, &windows, &opts, o)).unwrap();
+        let (out, status) = batch(&r, &windows, &opts).unwrap();
         assert!(out.lines().any(|l| l.starts_with("# health:")), "{out}");
         assert_eq!(status.health.degraded_preferences, 1);
         assert_eq!(status.health.worker_panics, 0);
         assert!(out.contains("1 degraded preference(s)"), "{out}");
         assert!(out.contains("[DEGRADED]"), "{out}");
         // A clean batch reports clean health, without the degraded marker.
-        let (r2, t2) = shifted_sets();
         let clean_opts = batch_opts(0.05, 1, &PreferenceSource::Identity, OutputFormat::Text);
-        let (clean, clean_status) = capture(|o| run_batch(&r2, &[t2], &clean_opts, o)).unwrap();
+        let (clean, clean_status) = batch(&r, &[t], &clean_opts).unwrap();
         assert!(clean.contains("health: 0 worker panic(s)"), "{clean}");
         assert!(!clean.contains("[DEGRADED]"), "{clean}");
         assert_eq!(clean_status.health, HealthReport::default());
@@ -1218,17 +1056,13 @@ mod tests {
         let huge: Vec<f64> = t.iter().map(|&v| if v >= 8.0 { 1.5e308 } else { v }).collect();
         let windows = vec![t, huge.clone()];
         let opts = batch_opts(0.05, 1, &PreferenceSource::SpectralResidual, OutputFormat::Csv);
-        let (out, status) = capture(|o| run_batch(&r, &windows, &opts, o)).unwrap();
+        let (out, status) = batch(&r, &windows, &opts).unwrap();
         assert_eq!(status.health.degraded_preferences, 1);
         assert_eq!(status.windows_explained, 2);
         assert!(out.contains("1 degraded preference(s)"), "{out}");
         let identity = batch_opts(0.05, 1, &PreferenceSource::Identity, OutputFormat::Csv);
-        let (id_out, _) =
-            capture(|o| run_batch(&r, std::slice::from_ref(&huge), &identity, o)).unwrap();
-        let rows = |csv: &str, prefix: &str| -> Vec<String> {
-            csv.lines().filter_map(|l| l.strip_prefix(prefix)).map(str::to_string).collect()
-        };
-        assert_eq!(rows(&out, "1,"), rows(&id_out, "0,"));
+        let (id_out, _) = batch(&r, std::slice::from_ref(&huge), &identity).unwrap();
+        assert_eq!(window_rows(&out, 1), window_rows(&id_out, 0));
 
         let (text, status) = capture(|o| {
             run_explain(
@@ -1247,27 +1081,76 @@ mod tests {
     }
 
     #[test]
-    fn batch_stream_surfaces_health_in_both_formats() {
-        let (r, t) = shifted_sets();
-        let windows = vec![t.clone(), t];
-        let file = TempWindows::new("health", &windows);
-        let opts = batch_opts(0.05, 1, &PreferenceSource::Identity, OutputFormat::Csv);
-        let (csv, status) = capture(|o| run_batch_stream(&r, &file.0, &opts, false, o)).unwrap();
-        assert!(csv.lines().any(|l| l.starts_with("# health:")), "{csv}");
-        assert_eq!(status.health.worker_panics, 0);
-        let text_opts = batch_opts(0.05, 1, &PreferenceSource::Identity, OutputFormat::Text);
-        let (text, _) = capture(|o| run_batch_stream(&r, &file.0, &text_opts, false, o)).unwrap();
-        assert!(text.contains("health: 0 worker panic(s)"), "{text}");
-    }
-
-    #[test]
     fn batch_rejects_empty_windows_file() {
         let (r, _) = shifted_sets();
         let opts = batch_opts(0.05, 0, &PreferenceSource::Identity, OutputFormat::Text);
-        match capture(|o| run_batch(&r, &[], &opts, o)) {
+        match batch(&r, &[], &opts) {
             Err(CliError::Usage(msg)) => assert!(msg.contains("no windows")),
             other => panic!("unexpected {other:?}"),
         }
+    }
+
+    #[test]
+    fn batch_size_only_reports_k_per_window() {
+        let (r, t) = shifted_sets();
+        let windows = vec![t.clone(), r.clone(), t.clone()];
+        let file = TempWindows::of(&windows);
+        let opts = batch_opts(0.05, 1, &PreferenceSource::Identity, OutputFormat::Csv);
+        let (csv, _) = capture(|o| run_batch_stream(&r, &file.0, &opts, true, o)).unwrap();
+        assert!(csv.starts_with("window,k,k_hat"), "{csv}");
+        // Windows 0 and 2 are identical: same k rows; window 1 passes.
+        let k_rows: Vec<&str> =
+            csv.lines().filter(|l| !l.starts_with('#') && !l.starts_with("window,")).collect();
+        assert_eq!(k_rows.len(), 2, "{csv}");
+        assert_eq!(k_rows[0].split_once(',').unwrap().1, k_rows[1].split_once(',').unwrap().1);
+        // The reported k matches the full explanation's size.
+        let (full, _) = capture(|o| {
+            run_explain(&r, &t, None, 0.05, &PreferenceSource::Identity, OutputFormat::Csv, o)
+        })
+        .unwrap();
+        let k: usize = k_rows[0].split(',').nth(1).unwrap().parse().unwrap();
+        assert_eq!(k, full.lines().count() - 1);
+
+        let text_opts = batch_opts(0.05, 1, &PreferenceSource::Identity, OutputFormat::Text);
+        let (text, _) = capture(|o| run_batch_stream(&r, &file.0, &text_opts, true, o)).unwrap();
+        assert!(text.contains("window 0: k = "), "{text}");
+        assert!(text.contains("window 1: passes"), "{text}");
+        assert!(text.contains("2 sized, 1 passing"), "{text}");
+        assert!(text.contains("worker thread(s)"), "{text}");
+    }
+
+    /// A malformed line ends the run with its located error, after the
+    /// windows before it have been printed.
+    #[test]
+    fn batch_surfaces_parse_errors_after_the_windows_before_them() {
+        let (r, t) = shifted_sets();
+        let line = t.iter().map(f64::to_string).collect::<Vec<_>>().join(",");
+        let file = TempWindows::new(&format!("{line}\nnot-a-number\n{line}\n"));
+        let opts = batch_opts(0.05, 2, &PreferenceSource::Identity, OutputFormat::Csv);
+        let mut out: Vec<u8> = Vec::new();
+        match run_batch_stream(&r, &file.0, &opts, false, &mut out) {
+            Err(CliError::Parse { line, .. }) => assert_eq!(line, 2),
+            other => panic!("unexpected {other:?}"),
+        }
+        let out = String::from_utf8(out).unwrap();
+        assert!(!window_rows(&out, 0).is_empty(), "{out}");
+        assert!(window_rows(&out, 1).is_empty(), "{out}");
+    }
+
+    #[test]
+    fn batch_reports_effective_thread_count() {
+        let (r, t) = shifted_sets();
+        let windows = vec![t.clone(), t];
+        let opts = batch_opts(0.05, 8, &PreferenceSource::Identity, OutputFormat::Text);
+        let (out, _) = batch(&r, &windows, &opts).unwrap();
+        // Two windows start two workers regardless of the flag.
+        assert!(out.contains("on 2 worker thread(s) (requested 8)"), "{out}");
+        let csv_opts = batch_opts(0.05, 8, &PreferenceSource::Identity, OutputFormat::Csv);
+        let (csv, _) = batch(&r, &windows, &csv_opts).unwrap();
+        assert!(csv.lines().any(|l| l == "# threads: 2"), "{csv}");
+        // One window runs on the caller's thread.
+        let (csv, _) = batch(&r, &windows[..1], &csv_opts).unwrap();
+        assert!(csv.lines().any(|l| l == "# threads: 1"), "{csv}");
     }
 
     /// A 2-D reference and a window that fails the Fasano-Franceschini
@@ -1280,17 +1163,25 @@ mod tests {
         (r, t)
     }
 
-    /// Flattens point windows to the `x1 y1 x2 y2 ...` on-disk line format.
-    fn flat(windows: &[Vec<Point2>]) -> Vec<Vec<f64>> {
-        windows.iter().map(|w| w.iter().flat_map(|p| [p.x, p.y]).collect()).collect()
+    /// `moche batch2d` over point windows, written as flat `x1,y1,x2,y2,...`
+    /// coordinate lines first.
+    fn batch2d(
+        r: &[Point2],
+        windows: &[Vec<Point2>],
+        threads: usize,
+        format: OutputFormat,
+    ) -> Result<(String, RunStatus), CliError> {
+        let flat: Vec<Vec<f64>> =
+            windows.iter().map(|w| w.iter().flat_map(|p| [p.x, p.y]).collect()).collect();
+        let file = TempWindows::of(&flat);
+        capture(|o| run_batch_stream_2d(r, &file.0, 0.05, threads, format, o))
     }
 
     #[test]
     fn batch2d_reports_per_window_outcomes() {
         let (r, t) = shifted_point_sets();
         let windows = vec![t.clone(), r.clone(), t];
-        let (out, status) =
-            capture(|o| run_batch2d(&r, &windows, 0.05, 2, OutputFormat::Text, o)).unwrap();
+        let (out, status) = batch2d(&r, &windows, 2, OutputFormat::Text).unwrap();
         assert!(out.contains("window 0: k = "), "{out}");
         assert!(out.contains("window 1: passes"), "{out}");
         assert!(out.contains("2 explained, 1 passing"), "{out}");
@@ -1300,23 +1191,29 @@ mod tests {
         assert_eq!(status.exit_code(), 0);
     }
 
+    /// Every window's csv rows are the point offsets the in-process greedy
+    /// explainer selects for that window, at every thread count.
     #[test]
-    fn batch2d_csv_lists_point_offsets_per_window() {
+    fn batch2d_rows_match_the_in_process_explainer_per_window() {
         let (r, t) = shifted_point_sets();
-        let windows = vec![t.clone(), t];
-        let (out, _) =
-            capture(|o| run_batch2d(&r, &windows, 0.05, 1, OutputFormat::Csv, o)).unwrap();
-        assert!(out.starts_with("window,index"), "{out}");
-        assert!(out.lines().any(|l| l.starts_with("0,")), "{out}");
-        assert!(out.lines().any(|l| l.starts_with("# health:")), "{out}");
-        // Identical windows select identical offsets.
-        let rows = |w: &str| {
-            out.lines()
-                .filter(|l| l.starts_with(w))
-                .map(|l| l.split_once(',').unwrap().1.to_string())
-                .collect::<Vec<_>>()
-        };
-        assert_eq!(rows("0,"), rows("1,"));
+        let windows = vec![t.clone(), r.clone(), t];
+        let cfg = moche_multidim::Ks2dConfig::new(0.05).unwrap();
+        for threads in [1, 2] {
+            let (out, status) = batch2d(&r, &windows, threads, OutputFormat::Csv).unwrap();
+            assert!(out.starts_with("window,index"), "{out}");
+            assert!(out.lines().any(|l| l.starts_with("# health:")), "{out}");
+            assert!(out.lines().any(|l| l == format!("# threads: {threads}")), "{out}");
+            assert_eq!(status.windows_explained, 2);
+            for (w, window) in windows.iter().enumerate() {
+                let expected: Vec<String> =
+                    match moche_multidim::GreedyImpact2d.explain(&r, window, &cfg, None) {
+                        Ok(e) => e.indices.iter().map(usize::to_string).collect(),
+                        Err(MocheError::TestAlreadyPasses { .. }) => Vec::new(),
+                        Err(e) => panic!("window {w}: {e}"),
+                    };
+                assert_eq!(window_rows(&out, w), expected, "window {w}, threads {threads}");
+            }
+        }
     }
 
     #[test]
@@ -1324,16 +1221,14 @@ mod tests {
         let (r, t) = shifted_point_sets();
         let bad = vec![Point2::new(f64::NAN, 0.0); 5];
         let mixed = vec![t, bad.clone()];
-        let (out, status) =
-            capture(|o| run_batch2d(&r, &mixed, 0.05, 1, OutputFormat::Text, o)).unwrap();
+        let (out, status) = batch2d(&r, &mixed, 1, OutputFormat::Text).unwrap();
         assert!(out.contains("window 0: k = "), "{out}");
         assert!(out.contains("window 1: error:"), "{out}");
         assert_eq!(status.window_errors, 1);
         assert_eq!(status.exit_code(), 0, "one good window keeps the run successful");
 
         let all_bad = vec![bad.clone(), bad];
-        let (_, status) =
-            capture(|o| run_batch2d(&r, &all_bad, 0.05, 1, OutputFormat::Text, o)).unwrap();
+        let (_, status) = batch2d(&r, &all_bad, 1, OutputFormat::Text).unwrap();
         assert_eq!(status.window_errors, 2);
         assert_eq!(status.windows_explained, 0);
         assert_eq!(status.exit_code(), 1, "all-error 2-D batches must not exit 0");
@@ -1342,44 +1237,17 @@ mod tests {
     #[test]
     fn batch2d_rejects_empty_windows_file() {
         let (r, _) = shifted_point_sets();
-        match capture(|o| run_batch2d(&r, &[], 0.05, 0, OutputFormat::Text, o)) {
+        match batch2d(&r, &[], 0, OutputFormat::Text) {
             Err(CliError::Usage(msg)) => assert!(msg.contains("no windows")),
             other => panic!("unexpected {other:?}"),
         }
     }
 
     #[test]
-    fn batch2d_stream_matches_eager_csv() {
-        let (r, t) = shifted_point_sets();
-        let windows = vec![t.clone(), r.clone(), t];
-        let file = TempWindows::new("match2d", &flat(&windows));
-        let (eager, _) =
-            capture(|o| run_batch2d(&r, &windows, 0.05, 2, OutputFormat::Csv, o)).unwrap();
-        let (streamed, status) =
-            capture(|o| run_batch2d_stream(&r, &file.0, 0.05, 2, OutputFormat::Csv, o)).unwrap();
-        let rows = |s: &str| {
-            s.lines().filter(|l| !l.starts_with('#')).map(String::from).collect::<Vec<_>>()
-        };
-        assert_eq!(rows(&eager), rows(&streamed));
-        assert!(streamed.lines().any(|l| l.starts_with("# threads: ")), "{streamed}");
-        assert_eq!(status.windows_explained, 2);
-        assert_eq!(status.exit_code(), 0);
-
-        let (text, _) =
-            capture(|o| run_batch2d_stream(&r, &file.0, 0.05, 1, OutputFormat::Text, o)).unwrap();
-        assert!(text.contains("window 0: k = "), "{text}");
-        assert!(text.contains("window 1: passes"), "{text}");
-        assert!(text.contains("2 explained, 1 passing"), "{text}");
-    }
-
-    #[test]
-    fn batch2d_stream_surfaces_odd_coordinate_counts() {
+    fn batch2d_surfaces_odd_coordinate_counts() {
         let (r, _) = shifted_point_sets();
-        let path = std::env::temp_dir()
-            .join(format!("moche-stream-test-odd2d-{}.csv", std::process::id()));
-        std::fs::write(&path, "1 2 3 4\n5 6 7\n").unwrap();
-        let result = capture(|o| run_batch2d_stream(&r, &path, 0.05, 1, OutputFormat::Text, o));
-        let _ = std::fs::remove_file(&path);
+        let file = TempWindows::new("1 2 3 4\n5 6 7\n");
+        let result = capture(|o| run_batch_stream_2d(&r, &file.0, 0.05, 1, OutputFormat::Text, o));
         match result {
             Err(CliError::Parse { line, .. }) => assert_eq!(line, 2),
             other => panic!("unexpected {other:?}"),
@@ -1438,119 +1306,6 @@ mod tests {
         assert!(out.contains("DRIFT"), "{out}");
         assert!(out.contains("size: k = "), "{out}");
         assert!(!out.contains("explanation:"), "{out}");
-    }
-
-    /// A throwaway on-disk windows file for the streaming tests.
-    struct TempWindows(std::path::PathBuf);
-
-    impl TempWindows {
-        fn new(tag: &str, windows: &[Vec<f64>]) -> Self {
-            let path = std::env::temp_dir()
-                .join(format!("moche-stream-test-{tag}-{}.csv", std::process::id()));
-            let content: String = windows
-                .iter()
-                .map(|w| w.iter().map(f64::to_string).collect::<Vec<_>>().join(",") + "\n")
-                .collect();
-            std::fs::write(&path, content).unwrap();
-            Self(path)
-        }
-    }
-
-    impl Drop for TempWindows {
-        fn drop(&mut self) {
-            let _ = std::fs::remove_file(&self.0);
-        }
-    }
-
-    #[test]
-    fn batch_stream_matches_eager_batch_csv() {
-        let (r, t) = shifted_sets();
-        let windows = vec![t.clone(), r.clone(), t];
-        let file = TempWindows::new("match", &windows);
-        let opts = batch_opts(0.05, 2, &PreferenceSource::Identity, OutputFormat::Csv);
-        let (eager, _) = capture(|o| run_batch(&r, &windows, &opts, o)).unwrap();
-        let (streamed, status) =
-            capture(|o| run_batch_stream(&r, &file.0, &opts, false, o)).unwrap();
-        let rows = |s: &str| {
-            s.lines().filter(|l| !l.starts_with('#')).map(String::from).collect::<Vec<_>>()
-        };
-        assert_eq!(rows(&eager), rows(&streamed));
-        assert!(streamed.lines().any(|l| l.starts_with("# threads: ")), "{streamed}");
-        assert_eq!(status.windows_explained, 2);
-        assert_eq!(status.exit_code(), 0);
-    }
-
-    #[test]
-    fn batch_stream_size_only_reports_k_per_window() {
-        let (r, t) = shifted_sets();
-        let windows = vec![t.clone(), r.clone(), t.clone()];
-        let file = TempWindows::new("size", &windows);
-        let opts = batch_opts(0.05, 1, &PreferenceSource::Identity, OutputFormat::Csv);
-        let (csv, _) = capture(|o| run_batch_stream(&r, &file.0, &opts, true, o)).unwrap();
-        assert!(csv.starts_with("window,k,k_hat"), "{csv}");
-        // Windows 0 and 2 are identical: same k rows; window 1 passes.
-        let k_rows: Vec<&str> =
-            csv.lines().filter(|l| !l.starts_with('#') && !l.starts_with("window,")).collect();
-        assert_eq!(k_rows.len(), 2, "{csv}");
-        assert_eq!(k_rows[0].split_once(',').unwrap().1, k_rows[1].split_once(',').unwrap().1);
-        // The reported k matches the full explanation's size.
-        let (full, _) = capture(|o| {
-            run_explain(&r, &t, None, 0.05, &PreferenceSource::Identity, OutputFormat::Csv, o)
-        })
-        .unwrap();
-        let k: usize = k_rows[0].split(',').nth(1).unwrap().parse().unwrap();
-        assert_eq!(k, full.lines().count() - 1);
-
-        let text_opts = batch_opts(0.05, 1, &PreferenceSource::Identity, OutputFormat::Text);
-        let (text, _) = capture(|o| run_batch_stream(&r, &file.0, &text_opts, true, o)).unwrap();
-        assert!(text.contains("window 0: k = "), "{text}");
-        assert!(text.contains("window 1: passes"), "{text}");
-        assert!(text.contains("2 sized, 1 passing"), "{text}");
-        assert!(text.contains("worker thread(s)"), "{text}");
-    }
-
-    #[test]
-    fn batch_stream_surfaces_parse_errors() {
-        let (r, _) = shifted_sets();
-        let path =
-            std::env::temp_dir().join(format!("moche-stream-test-bad-{}.csv", std::process::id()));
-        std::fs::write(&path, "1.0,2.0,3.0\nnot-a-number\n").unwrap();
-        let opts = batch_opts(0.05, 1, &PreferenceSource::Identity, OutputFormat::Text);
-        let result = capture(|o| run_batch_stream(&r, &path, &opts, false, o));
-        let _ = std::fs::remove_file(&path);
-        match result {
-            Err(CliError::Parse { line, .. }) => assert_eq!(line, 2),
-            other => panic!("unexpected {other:?}"),
-        }
-    }
-
-    #[test]
-    fn batch_stream_all_error_runs_exit_nonzero() {
-        let (r, _) = shifted_sets();
-        // Every window carries a NaN: the stream completes (NaN parses as a
-        // float) but each window fails with NonFiniteValue.
-        let bad = vec![f64::NAN, 1.0, 2.0, 3.0, 4.0];
-        let windows = vec![bad.clone(), bad];
-        let file = TempWindows::new("all-error", &windows);
-        let opts = batch_opts(0.05, 1, &PreferenceSource::Identity, OutputFormat::Text);
-        let (out, status) = capture(|o| run_batch_stream(&r, &file.0, &opts, false, o)).unwrap();
-        assert!(out.contains("window 0: error:"), "{out}");
-        assert_eq!(status.window_errors, 2);
-        assert_eq!(status.windows_explained, 0);
-        assert_eq!(status.exit_code(), 1, "all-error streams must not exit 0");
-    }
-
-    #[test]
-    fn batch_reports_effective_thread_count() {
-        let (r, t) = shifted_sets();
-        let windows = vec![t.clone(), t];
-        let opts = batch_opts(0.05, 8, &PreferenceSource::Identity, OutputFormat::Text);
-        let (out, _) = capture(|o| run_batch(&r, &windows, &opts, o)).unwrap();
-        // Two jobs cap the pool at two workers regardless of the flag.
-        assert!(out.contains("on 2 worker thread(s) (requested 8)"), "{out}");
-        let csv_opts = batch_opts(0.05, 8, &PreferenceSource::Identity, OutputFormat::Csv);
-        let (csv, _) = capture(|o| run_batch(&r, &windows, &csv_opts, o)).unwrap();
-        assert!(csv.lines().any(|l| l == "# threads: 2"), "{csv}");
     }
 
     #[test]

@@ -1,6 +1,12 @@
 //! Data-file parsing for the CLI: one value per line, `#` comments and
 //! blank lines ignored. Lines may optionally be `value,score` pairs for
 //! score-annotated inputs.
+//!
+//! Batch windows files (one window per line, 1-D values or flat 2-D
+//! coordinate lists) are read lazily by one [`WindowReader`], generic over
+//! the line parser, so `moche batch` and `moche batch2d` hold only the
+//! windows in flight. [`parse_windows`] parses a whole 1-D windows file at
+//! once for callers that want every window resident.
 
 use moche_multidim::Point2;
 use std::fmt;
@@ -112,79 +118,60 @@ pub fn parse_values_and_scores(
     }
 }
 
+/// The numbers on one data line, split at commas and/or whitespace, with
+/// `None` for a token that is not a number; `None` overall for a comment
+/// or blank line.
+fn line_numbers(raw: &str) -> Option<impl Iterator<Item = Option<f64>> + '_> {
+    let line = raw.split('#').next().unwrap_or("").trim();
+    let tokens = line.split(|c: char| c == ',' || c.is_whitespace()).filter(|s| !s.is_empty());
+    (!line.is_empty()).then(|| tokens.map(|tok| tok.parse().ok()))
+}
+
+/// The parse error for line `line_no` (1-based) of `path`.
+fn located(path: &str, line_no: usize, raw: &str, expected: &'static str) -> CliError {
+    CliError::Parse {
+        path: path.to_string(),
+        line: line_no,
+        content: raw.trim_end_matches(['\n', '\r']).to_string(),
+        expected,
+    }
+}
+
 fn parse_columns(path: &str, content: &str) -> Result<(Vec<f64>, Vec<f64>), CliError> {
     let mut values = Vec::new();
     let mut scores = Vec::new();
     for (i, raw) in content.lines().enumerate() {
-        let line = raw.split('#').next().unwrap_or("").trim();
-        if line.is_empty() {
-            continue;
-        }
-        let mut parts =
-            line.split(|c: char| c == ',' || c.is_whitespace()).filter(|s| !s.is_empty());
-        let first = parts.next().ok_or_else(|| CliError::Parse {
-            path: path.to_string(),
-            line: i + 1,
-            content: raw.to_string(),
-            expected: "a number",
-        })?;
-        let value: f64 = first.parse().map_err(|_| CliError::Parse {
-            path: path.to_string(),
-            line: i + 1,
-            content: raw.to_string(),
-            expected: "a number",
-        })?;
-        values.push(value);
-        if let Some(second) = parts.next() {
-            let score: f64 = second.parse().map_err(|_| CliError::Parse {
-                path: path.to_string(),
-                line: i + 1,
-                content: raw.to_string(),
-                expected: "a number",
-            })?;
-            scores.push(score);
+        let Some(mut numbers) = line_numbers(raw) else { continue };
+        let error = || located(path, i + 1, raw, "a number");
+        values.push(numbers.next().flatten().ok_or_else(error)?);
+        if let Some(score) = numbers.next() {
+            scores.push(score.ok_or_else(error)?);
         }
     }
     Ok((values, scores))
 }
 
-/// Parses one windows-file line: `None` for comments and blanks, otherwise
-/// the window (comma/whitespace separated values). `line_no` is 1-based.
-fn parse_window_line(path: &str, line_no: usize, raw: &str) -> Option<Result<Vec<f64>, CliError>> {
-    let mut window = Vec::new();
-    parse_window_line_into(path, line_no, raw, &mut window).map(|r| r.map(|()| window))
-}
-
-/// [`parse_window_line`] writing into a caller-recycled buffer (cleared
-/// first) — the zero-allocation producer path of `moche batch --stream`.
-/// On `Some(Err(..))` the buffer holds whatever parsed before the error.
-fn parse_window_line_into(
+/// Parses one windows-file line into a caller-recycled buffer (cleared
+/// first): `None` for comments and blanks, otherwise the window
+/// (comma/whitespace separated values). `line_no` is 1-based. On
+/// `Some(Err(..))` the buffer holds whatever parsed before the error.
+pub fn parse_window_line_into(
     path: &str,
     line_no: usize,
     raw: &str,
     window: &mut Vec<f64>,
 ) -> Option<Result<(), CliError>> {
-    let line = raw.split('#').next().unwrap_or("").trim();
-    if line.is_empty() {
-        return None;
-    }
-    let located_error = || CliError::Parse {
-        path: path.to_string(),
-        line: line_no,
-        content: raw.trim_end_matches(['\n', '\r']).to_string(),
-        expected: "a number",
-    };
+    let numbers = line_numbers(raw)?;
+    let error = || Some(Err(located(path, line_no, raw, "a number")));
     window.clear();
-    for tok in line.split(|c: char| c == ',' || c.is_whitespace()).filter(|s| !s.is_empty()) {
-        match tok.parse::<f64>() {
-            Ok(v) => window.push(v),
-            Err(_) => return Some(Err(located_error())),
-        }
+    for v in numbers {
+        let Some(v) = v else { return error() };
+        window.push(v);
     }
+    // A line of nothing but separators is reported here, with a location,
+    // instead of as a locationless "empty test set" later.
     if window.is_empty() {
-        // A line of nothing but separators: report it here with a
-        // location instead of a locationless "empty test set" later.
-        return Some(Err(located_error()));
+        return error();
     }
     Some(Ok(()))
 }
@@ -194,98 +181,13 @@ fn parse_window_line_into(
 pub fn parse_windows(path: &str, content: &str) -> Result<Vec<Vec<f64>>, CliError> {
     let mut windows = Vec::new();
     for (i, raw) in content.lines().enumerate() {
-        if let Some(window) = parse_window_line(path, i + 1, raw) {
-            windows.push(window?);
+        let mut window = Vec::new();
+        if let Some(parsed) = parse_window_line_into(path, i + 1, raw, &mut window) {
+            parsed?;
+            windows.push(window);
         }
     }
     Ok(windows)
-}
-
-/// A lazily-read windows file: one window per [`fill`](WindowStream::fill)
-/// call (or per [`Iterator::next`]), so a stream of any length is processed
-/// in bounded memory (see `moche batch --stream`).
-///
-/// The fill path recycles both the line buffer and the caller's window
-/// buffer, so steady-state reading performs no heap allocations — the
-/// producer side of the streaming engine's constant-memory loop.
-///
-/// The stream stops at the first I/O or parse error; the error is parked in
-/// the slot returned by [`WindowStream::open`] for the caller to check
-/// after the stream is drained (the source itself must yield plain windows
-/// to feed the streaming engine from another thread).
-pub struct WindowStream {
-    reader: std::io::BufReader<std::fs::File>,
-    /// Recycled line buffer.
-    line: String,
-    path: String,
-    line_no: usize,
-    error: std::sync::Arc<std::sync::Mutex<Option<CliError>>>,
-}
-
-impl WindowStream {
-    /// Opens a windows file for lazy streaming. Returns the source and the
-    /// shared slot where a mid-stream error is parked.
-    #[allow(clippy::type_complexity)]
-    pub fn open(
-        path: &Path,
-    ) -> Result<(Self, std::sync::Arc<std::sync::Mutex<Option<CliError>>>), CliError> {
-        let file = std::fs::File::open(path)
-            .map_err(|source| CliError::Io { path: path.display().to_string(), source })?;
-        let error = std::sync::Arc::new(std::sync::Mutex::new(None));
-        let stream = Self {
-            reader: std::io::BufReader::new(file),
-            line: String::new(),
-            path: path.display().to_string(),
-            line_no: 0,
-            error: std::sync::Arc::clone(&error),
-        };
-        Ok((stream, error))
-    }
-
-    fn park(&self, e: CliError) {
-        // The slot only ever holds an Option swap — a panic elsewhere
-        // cannot leave it torn, so recover the poison instead of
-        // cascading a second panic out of error reporting.
-        *self.error.lock().unwrap_or_else(std::sync::PoisonError::into_inner) = Some(e);
-    }
-
-    /// Overwrites `window` with the next window and returns `true`, or
-    /// `false` at end of stream (or on a parked error). This is the
-    /// [`moche_core::WindowSource`] shape — pass
-    /// `|buf: &mut Vec<f64>| stream.fill(buf)` to
-    /// [`moche_core::StreamingBatchExplainer::explain_source`].
-    pub fn fill(&mut self, window: &mut Vec<f64>) -> bool {
-        use std::io::BufRead as _;
-        loop {
-            self.line.clear();
-            match self.reader.read_line(&mut self.line) {
-                Ok(0) => return false, // end of file
-                Ok(_) => {}
-                Err(source) => {
-                    self.park(CliError::Io { path: self.path.clone(), source });
-                    return false;
-                }
-            }
-            self.line_no += 1;
-            match parse_window_line_into(&self.path, self.line_no, &self.line, window) {
-                None => continue, // comment or blank line
-                Some(Ok(())) => return true,
-                Some(Err(e)) => {
-                    self.park(e);
-                    return false;
-                }
-            }
-        }
-    }
-}
-
-impl Iterator for WindowStream {
-    type Item = Vec<f64>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        let mut window = Vec::new();
-        self.fill(&mut window).then_some(window)
-    }
 }
 
 /// Parses a 2-D point file: one point per non-comment line, its `x` and
@@ -294,145 +196,110 @@ impl Iterator for WindowStream {
 pub fn parse_points(path: &str, content: &str) -> Result<Vec<Point2>, CliError> {
     let mut points = Vec::new();
     for (i, raw) in content.lines().enumerate() {
-        let line = raw.split('#').next().unwrap_or("").trim();
-        if line.is_empty() {
-            continue;
+        let Some(mut numbers) = line_numbers(raw) else { continue };
+        match (numbers.next(), numbers.next(), numbers.next()) {
+            (Some(Some(x)), Some(Some(y)), None) => points.push(Point2::new(x, y)),
+            _ => return Err(located(path, i + 1, raw, "a point (exactly two numbers: x y)")),
         }
-        let located_error = || CliError::Parse {
-            path: path.to_string(),
-            line: i + 1,
-            content: raw.to_string(),
-            expected: "a point (exactly two numbers: x y)",
-        };
-        let mut parts =
-            line.split(|c: char| c == ',' || c.is_whitespace()).filter(|s| !s.is_empty());
-        let x: f64 =
-            parts.next().ok_or_else(located_error)?.parse().map_err(|_| located_error())?;
-        let y: f64 =
-            parts.next().ok_or_else(located_error)?.parse().map_err(|_| located_error())?;
-        if parts.next().is_some() {
-            return Err(located_error());
-        }
-        points.push(Point2::new(x, y));
     }
     Ok(points)
 }
 
-/// Parses one point-windows line into a caller-recycled buffer (cleared
-/// first): `None` for comments and blanks, otherwise the window read as a
-/// flat coordinate list `x1 y1 x2 y2 ...` paired up in order. An odd
-/// coordinate count (a dangling `x`) and a separator-only line are located
-/// parse errors. This is the zero-allocation producer path of
-/// `moche batch2d --stream`.
-fn parse_point_window_line_into(
+/// Parses one 2-D windows-file line into a caller-recycled buffer
+/// (cleared first): `None` for comments and blanks, otherwise the window
+/// read as a flat coordinate list `x1 y1 x2 y2 ...` paired up in order. An
+/// odd coordinate count (a dangling `x`) and a separator-only line are
+/// located parse errors.
+pub fn parse_point_window_line_into(
     path: &str,
     line_no: usize,
     raw: &str,
     window: &mut Vec<Point2>,
 ) -> Option<Result<(), CliError>> {
-    let line = raw.split('#').next().unwrap_or("").trim();
-    if line.is_empty() {
-        return None;
-    }
-    let located_error = || CliError::Parse {
-        path: path.to_string(),
-        line: line_no,
-        content: raw.trim_end_matches(['\n', '\r']).to_string(),
-        expected: "an even coordinate list (x1 y1 x2 y2 ...)",
-    };
+    let mut numbers = line_numbers(raw)?;
+    let expected = "an even coordinate list (x1 y1 x2 y2 ...)";
+    let error = || Some(Err(located(path, line_no, raw, expected)));
     window.clear();
-    let mut pending_x: Option<f64> = None;
-    for tok in line.split(|c: char| c == ',' || c.is_whitespace()).filter(|s| !s.is_empty()) {
-        let v: f64 = match tok.parse() {
-            Ok(v) => v,
-            Err(_) => return Some(Err(located_error())),
-        };
-        match pending_x.take() {
-            None => pending_x = Some(v),
-            Some(x) => window.push(Point2::new(x, v)),
-        }
+    while let Some(x) = numbers.next() {
+        let (Some(x), Some(Some(y))) = (x, numbers.next()) else { return error() };
+        window.push(Point2::new(x, y));
     }
-    if pending_x.is_some() || window.is_empty() {
-        return Some(Err(located_error()));
+    if window.is_empty() {
+        return error();
     }
     Some(Ok(()))
 }
 
-/// Parses a 2-D windows file: each non-comment line is one test window of
-/// points, read as a flat coordinate list — an odd coordinate count (a
-/// dangling `x` with no `y`) is a located parse error.
-pub fn parse_point_windows(path: &str, content: &str) -> Result<Vec<Vec<Point2>>, CliError> {
-    let mut windows = Vec::new();
-    for (i, raw) in content.lines().enumerate() {
-        let mut window = Vec::new();
-        if let Some(parsed) = parse_point_window_line_into(path, i + 1, raw, &mut window) {
-            parsed?;
-            windows.push(window);
-        }
-    }
-    Ok(windows)
-}
+/// A line parser for [`WindowReader`]: [`parse_window_line_into`] or
+/// [`parse_point_window_line_into`].
+pub type LineParser<P> = fn(&str, usize, &str, &mut Vec<P>) -> Option<Result<(), CliError>>;
 
-/// A lazily-read 2-D windows file — [`WindowStream`]'s point-valued twin,
-/// with the same recycled-buffer fill contract and the same parked-error
-/// slot (the shape [`moche_multidim::Window2dSource`] expects).
-pub struct PointWindowStream {
+/// A lazily-read windows file, one window per [`fill`](Self::fill), so a
+/// file of any length is processed in bounded memory (`moche batch` and
+/// `moche batch2d`).
+///
+/// The line buffer and the caller's window buffer are both recycled, so
+/// steady-state reading performs no heap allocations — the producer side
+/// of the streaming engine's constant-memory loop. The reader stops at the
+/// first I/O or parse error and keeps it for [`finish`](Self::finish).
+pub struct WindowReader<P> {
     reader: std::io::BufReader<std::fs::File>,
     /// Recycled line buffer.
     line: String,
     path: String,
     line_no: usize,
-    error: std::sync::Arc<std::sync::Mutex<Option<CliError>>>,
+    parse: LineParser<P>,
+    error: Option<CliError>,
 }
 
-impl PointWindowStream {
-    /// Opens a 2-D windows file for lazy streaming. Returns the source and
-    /// the shared slot where a mid-stream error is parked.
-    #[allow(clippy::type_complexity)]
-    pub fn open(
-        path: &Path,
-    ) -> Result<(Self, std::sync::Arc<std::sync::Mutex<Option<CliError>>>), CliError> {
+impl<P> WindowReader<P> {
+    /// Opens a windows file whose lines `parse` reads.
+    pub fn open(path: &Path, parse: LineParser<P>) -> Result<Self, CliError> {
         let file = std::fs::File::open(path)
             .map_err(|source| CliError::Io { path: path.display().to_string(), source })?;
-        let error = std::sync::Arc::new(std::sync::Mutex::new(None));
-        let stream = Self {
+        Ok(Self {
             reader: std::io::BufReader::new(file),
             line: String::new(),
             path: path.display().to_string(),
             line_no: 0,
-            error: std::sync::Arc::clone(&error),
-        };
-        Ok((stream, error))
+            parse,
+            error: None,
+        })
     }
 
-    fn park(&self, e: CliError) {
-        *self.error.lock().unwrap_or_else(std::sync::PoisonError::into_inner) = Some(e);
-    }
-
-    /// Overwrites `window` with the next window's points and returns
-    /// `true`, or `false` at end of stream (or on a parked error).
-    pub fn fill(&mut self, window: &mut Vec<Point2>) -> bool {
+    /// Overwrites `window` with the next window and returns `true`, or
+    /// `false` at the end of the file or at the first error. This is the
+    /// shape of [`moche_core::WindowSource`] and
+    /// [`moche_multidim::Window2dSource`].
+    pub fn fill(&mut self, window: &mut Vec<P>) -> bool {
         use std::io::BufRead as _;
-        loop {
+        while self.error.is_none() {
             self.line.clear();
             match self.reader.read_line(&mut self.line) {
                 Ok(0) => return false, // end of file
                 Ok(_) => {}
                 Err(source) => {
-                    self.park(CliError::Io { path: self.path.clone(), source });
+                    self.error = Some(CliError::Io { path: self.path.clone(), source });
                     return false;
                 }
             }
             self.line_no += 1;
-            match parse_point_window_line_into(&self.path, self.line_no, &self.line, window) {
-                None => continue, // comment or blank line
+            match (self.parse)(&self.path, self.line_no, &self.line, window) {
+                None => {} // comment or blank line
                 Some(Ok(())) => return true,
-                Some(Err(e)) => {
-                    self.park(e);
-                    return false;
-                }
+                Some(Err(e)) => self.error = Some(e),
             }
         }
+        false
+    }
+
+    /// The error that stopped the reader, if one did.
+    ///
+    /// # Errors
+    ///
+    /// The first I/O or parse error [`fill`](Self::fill) met.
+    pub fn finish(self) -> Result<(), CliError> {
+        self.error.map_or(Ok(()), Err)
     }
 }
 
@@ -441,21 +308,6 @@ pub fn read_points(path: &Path) -> Result<Vec<Point2>, CliError> {
     let content = std::fs::read_to_string(path)
         .map_err(|source| CliError::Io { path: path.display().to_string(), source })?;
     parse_points(&path.display().to_string(), &content)
-}
-
-/// Reads and parses a 2-D windows file from disk (see
-/// [`parse_point_windows`]).
-pub fn read_point_windows(path: &Path) -> Result<Vec<Vec<Point2>>, CliError> {
-    let content = std::fs::read_to_string(path)
-        .map_err(|source| CliError::Io { path: path.display().to_string(), source })?;
-    parse_point_windows(&path.display().to_string(), &content)
-}
-
-/// Reads and parses a windows file from disk (see [`parse_windows`]).
-pub fn read_windows(path: &Path) -> Result<Vec<Vec<f64>>, CliError> {
-    let content = std::fs::read_to_string(path)
-        .map_err(|source| CliError::Io { path: path.display().to_string(), source })?;
-    parse_windows(&path.display().to_string(), &content)
 }
 
 /// Reads and parses a data file from disk.
@@ -574,10 +426,42 @@ mod tests {
         }
     }
 
+    /// Reads `content` through a [`WindowReader`] over a temp file: the
+    /// windows delivered, then what the reader finished with.
+    fn read_all<P: Clone>(
+        tag: &str,
+        content: &str,
+        parse: LineParser<P>,
+    ) -> (Vec<Vec<P>>, Result<(), CliError>) {
+        let path =
+            std::env::temp_dir().join(format!("moche-io-test-{tag}-{}.csv", std::process::id()));
+        std::fs::write(&path, content).unwrap();
+        let mut reader = WindowReader::open(&path, parse).unwrap();
+        let _ = std::fs::remove_file(&path); // the open handle keeps reading
+        let (mut windows, mut buf) = (Vec::new(), Vec::new());
+        while reader.fill(&mut buf) {
+            windows.push(buf.clone());
+        }
+        assert!(!reader.fill(&mut buf), "a stopped reader stays stopped");
+        (windows, reader.finish())
+    }
+
+    #[test]
+    fn reader_matches_parse_windows() {
+        let content = "# two windows\n1.0, 2.0, 3.0\n\n4 5\t6 7 # trailing\n";
+        let (windows, end) = read_all("values", content, parse_window_line_into);
+        assert!(end.is_ok());
+        assert_eq!(windows, parse_windows("f", content).unwrap());
+        let (windows, end) = read_all("values-bad", "1,2\n3,oops,5\n6\n", parse_window_line_into);
+        assert_eq!(windows, vec![vec![1.0, 2.0]], "windows before the error are delivered");
+        assert!(matches!(end, Err(CliError::Parse { line: 2, .. })), "{end:?}");
+    }
+
     #[test]
     fn parses_point_windows_as_flat_coordinate_lists() {
         let content = "# two windows\n1 2, 3 4\n5,6\n";
-        let w = parse_point_windows("f", content).unwrap();
+        let (w, end) = read_all("points", content, parse_point_window_line_into);
+        assert!(end.is_ok());
         assert_eq!(
             w,
             vec![vec![Point2::new(1.0, 2.0), Point2::new(3.0, 4.0)], vec![Point2::new(5.0, 6.0)],]
@@ -586,13 +470,13 @@ mod tests {
 
     #[test]
     fn odd_coordinate_count_is_a_located_error() {
-        match parse_point_windows("w.csv", "1 2\n3 4 5\n") {
-            Err(CliError::Parse { line: 2, .. }) => {}
-            other => panic!("unexpected {other:?}"),
-        }
-        match parse_point_windows("w.csv", "1 2\n, ,\n") {
-            Err(CliError::Parse { line: 2, .. }) => {}
-            other => panic!("unexpected {other:?}"),
+        for bad in ["1 2\n3 4 5\n", "1 2\n, ,\n"] {
+            let (w, end) = read_all("points-bad", bad, parse_point_window_line_into);
+            assert_eq!(w, vec![vec![Point2::new(1.0, 2.0)]], "input {bad:?}");
+            match end {
+                Err(CliError::Parse { line: 2, .. }) => {}
+                other => panic!("input {bad:?}: unexpected {other:?}"),
+            }
         }
     }
 

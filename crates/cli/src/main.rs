@@ -2,13 +2,14 @@
 //! to stdout.
 //!
 //! Output goes through one locked, buffered stdout handle for the whole
-//! run, so streaming commands (`moche batch --stream`) and the `moche
-//! serve` daemon's alarm log print each result as it is delivered instead
-//! of accumulating a report in memory. Exit codes: `0` success, `1` for
-//! errors (including batch runs where every window failed and nothing was
-//! explained), `2` for usage errors, `3` for snapshot errors (a corrupt
-//! `--resume` file or shard checkpoint, or a failed `--checkpoint`
-//! write). SIGTERM/SIGINT against `moche serve` are not exits at all:
+//! run, so `moche batch`, `moche batch2d` and the `moche serve` daemon's
+//! alarm log print each result as it is delivered instead of accumulating
+//! a report in memory. Exit codes: `0` success, `1` for errors (including
+//! batch runs where every window failed and nothing was explained, and a
+//! batch windows file with a malformed line, reported after the results of
+//! the windows before it), `2` for usage errors, `3` for snapshot errors
+//! (a corrupt `--resume` file or shard checkpoint, or a failed
+//! `--checkpoint` write). SIGTERM/SIGINT against `moche serve` are not exits at all:
 //! the daemon installs a handler (`moche-signal`) that drains
 //! gracefully — final checkpoints, `health:` line — and then returns
 //! through the normal success path, so a supervisor's stop reads as

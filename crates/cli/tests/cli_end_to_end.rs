@@ -149,23 +149,71 @@ fn windows_file(dir: &TempDir) -> (PathBuf, PathBuf) {
     (r, windows)
 }
 
+/// The csv rows of window `w`, without the window column.
+fn window_rows(csv: &str, w: usize) -> Vec<String> {
+    let prefix = format!("{w},");
+    csv.lines().filter_map(|l| l.strip_prefix(&prefix)).map(String::from).collect()
+}
+
+/// Every window's rows equal `moche explain` run on that window alone.
 #[test]
-fn batch_stream_matches_eager_batch() {
-    let dir = TempDir::new("batch-stream");
+fn batch_rows_match_explain_per_window() {
+    let dir = TempDir::new("batch-vs-explain");
     let (r, w) = windows_file(&dir);
-    let run = |extra: &[&str]| {
-        let mut args = vec!["batch", r.to_str().unwrap(), w.to_str().unwrap(), "--format", "csv"];
-        args.extend_from_slice(extra);
-        let out = bin().args(&args).output().unwrap();
+    let out = bin()
+        .args(["batch", r.to_str().unwrap(), w.to_str().unwrap(), "--format", "csv"])
+        .output()
+        .unwrap();
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    let batch = String::from_utf8(out.stdout).unwrap();
+    assert!(batch.lines().any(|l| l.starts_with("# threads: ")), "{batch}");
+    let content = std::fs::read_to_string(&w).unwrap();
+    for (i, line) in content.lines().enumerate() {
+        let t = dir.write(&format!("window-{i}.txt"), &line.replace(',', "\n"));
+        let out = bin()
+            .args(["explain", r.to_str().unwrap(), t.to_str().unwrap(), "--format", "csv"])
+            .output()
+            .unwrap();
         assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
-        String::from_utf8(out.stdout).unwrap()
-    };
-    let eager = run(&[]);
-    let streamed = run(&["--stream"]);
-    let rows =
-        |s: &str| s.lines().filter(|l| !l.starts_with('#')).map(String::from).collect::<Vec<_>>();
-    assert_eq!(rows(&eager), rows(&streamed));
-    assert!(eager.lines().any(|l| l.starts_with("# threads: ")), "{eager}");
+        let single = String::from_utf8(out.stdout).unwrap();
+        let expected: Vec<String> = single.lines().skip(1).map(String::from).collect();
+        assert!(!expected.is_empty());
+        assert_eq!(window_rows(&batch, i), expected, "window {i}");
+    }
+}
+
+/// A malformed line ends the run with exit code 1 and a located error, after
+/// the results of the windows before it have been printed.
+#[test]
+fn batch_malformed_line_exits_1_after_earlier_results() {
+    let dir = TempDir::new("batch-malformed");
+    let (r, w) = windows_file(&dir);
+    let good = std::fs::read_to_string(&w).unwrap();
+    let first = good.lines().next().unwrap();
+    let bad = dir.write("bad.csv", &format!("{first}\n1,oops,3\n{first}\n"));
+    let out = bin()
+        .args(["batch", r.to_str().unwrap(), bad.to_str().unwrap(), "--format", "csv"])
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(1));
+    let stdout = String::from_utf8(out.stdout).unwrap();
+    assert!(!window_rows(&stdout, 0).is_empty(), "{stdout}");
+    assert!(window_rows(&stdout, 1).is_empty(), "{stdout}");
+    assert!(String::from_utf8_lossy(&out.stderr).contains("bad.csv:2"), "location in stderr");
+}
+
+#[test]
+fn stream_flag_is_an_unknown_flag() {
+    let dir = TempDir::new("stream-flag");
+    let (r, w) = windows_file(&dir);
+    for sub in ["batch", "batch2d"] {
+        let out = bin()
+            .args([sub, r.to_str().unwrap(), w.to_str().unwrap(), "--stream"])
+            .output()
+            .unwrap();
+        assert_eq!(out.status.code(), Some(2), "{sub}");
+        assert!(String::from_utf8_lossy(&out.stderr).contains("unknown flag"), "{sub}");
+    }
 }
 
 #[test]
@@ -219,7 +267,7 @@ fn batch_size_only_reports_sizes() {
     let dir = TempDir::new("batch-size-only");
     let (r, w) = windows_file(&dir);
     let out = bin()
-        .args(["batch", r.to_str().unwrap(), w.to_str().unwrap(), "--stream", "--size-only"])
+        .args(["batch", r.to_str().unwrap(), w.to_str().unwrap(), "--size-only"])
         .output()
         .unwrap();
     assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
@@ -245,21 +293,16 @@ fn monitor_size_only_reports_sizes() {
 }
 
 /// A windows file where every window errors (NaN parses as a float, then
-/// fails input validation): the run must exit nonzero, for both the eager
-/// and the streaming path.
+/// fails input validation): the run must exit nonzero.
 #[test]
 fn batch_with_only_erroring_windows_exits_nonzero() {
     let dir = TempDir::new("batch-all-error");
     let r = dir.write("ref.txt", &numbers((0..80).map(|i| f64::from(i % 8))));
     let w = dir.write("wins.csv", "NaN,1,2,3,4\nNaN,5,6,7,8\n");
-    for extra in [&[][..], &["--stream"][..]] {
-        let mut args = vec!["batch", r.to_str().unwrap(), w.to_str().unwrap()];
-        args.extend_from_slice(extra);
-        let out = bin().args(&args).output().unwrap();
-        assert_eq!(out.status.code(), Some(1), "extra = {extra:?}");
-        let stdout = String::from_utf8(out.stdout).unwrap();
-        assert!(stdout.contains("error:"), "per-window errors stay visible: {stdout}");
-    }
+    let out = bin().args(["batch", r.to_str().unwrap(), w.to_str().unwrap()]).output().unwrap();
+    assert_eq!(out.status.code(), Some(1));
+    let stdout = String::from_utf8(out.stdout).unwrap();
+    assert!(stdout.contains("error:"), "per-window errors stay visible: {stdout}");
 }
 
 /// One healthy window among erroring ones keeps the run successful — the
@@ -271,12 +314,8 @@ fn batch_with_some_explained_windows_exits_zero() {
     let good: String =
         (0..40).map(|i| (f64::from(i % 8) + 4.0).to_string()).collect::<Vec<_>>().join(",");
     let w = dir.write("wins.csv", &format!("NaN,1,2,3,4\n{good}\n"));
-    for extra in [&[][..], &["--stream"][..]] {
-        let mut args = vec!["batch", r.to_str().unwrap(), w.to_str().unwrap()];
-        args.extend_from_slice(extra);
-        let out = bin().args(&args).output().unwrap();
-        assert_eq!(out.status.code(), Some(0), "extra = {extra:?}");
-    }
+    let out = bin().args(["batch", r.to_str().unwrap(), w.to_str().unwrap()]).output().unwrap();
+    assert_eq!(out.status.code(), Some(0));
 }
 
 #[test]
@@ -449,7 +488,7 @@ fn batch_reports_health_line() {
     let stdout = String::from_utf8(out.stdout).unwrap();
     assert!(stdout.contains("health: 0 worker panic(s)"), "{stdout}");
     let csv = bin()
-        .args(["batch", r.to_str().unwrap(), w.to_str().unwrap(), "--format", "csv", "--stream"])
+        .args(["batch", r.to_str().unwrap(), w.to_str().unwrap(), "--format", "csv"])
         .output()
         .unwrap();
     let csv_stdout = String::from_utf8(csv.stdout).unwrap();
@@ -481,31 +520,22 @@ fn point_files(dir: &TempDir) -> (PathBuf, PathBuf) {
 }
 
 #[test]
-fn batch2d_stream_matches_eager_batch2d() {
+fn batch2d_csv_lists_point_offsets_per_window() {
     let dir = TempDir::new("batch2d");
     let (r, w) = point_files(&dir);
-    let mut outputs = Vec::new();
-    for extra in [&[][..], &["--stream"][..]] {
-        let mut args = vec!["batch2d", r.to_str().unwrap(), w.to_str().unwrap(), "--format", "csv"];
-        args.extend_from_slice(extra);
-        let out = bin().args(&args).output().unwrap();
-        assert!(out.status.success(), "stderr: {}", String::from_utf8_lossy(&out.stderr));
-        let stdout = String::from_utf8(out.stdout).unwrap();
-        assert!(stdout.starts_with("window,index"), "{stdout}");
-        assert!(stdout.lines().any(|l| l.starts_with("# health:")), "{stdout}");
-        outputs.push(
-            stdout.lines().filter(|l| !l.starts_with('#')).map(String::from).collect::<Vec<_>>(),
-        );
-    }
-    assert_eq!(outputs[0], outputs[1], "streamed rows must match the eager run");
+    let out = bin()
+        .args(["batch2d", r.to_str().unwrap(), w.to_str().unwrap(), "--format", "csv"])
+        .output()
+        .unwrap();
+    assert!(out.status.success(), "stderr: {}", String::from_utf8_lossy(&out.stderr));
+    let stdout = String::from_utf8(out.stdout).unwrap();
+    assert!(stdout.starts_with("window,index"), "{stdout}");
+    assert!(stdout.lines().any(|l| l.starts_with("# health:")), "{stdout}");
     // Windows 0 and 2 are identical; both must select the same offsets,
     // and the passing window 1 contributes no rows.
-    assert!(outputs[0].iter().skip(1).all(|l| !l.starts_with("1,")));
-    let rows = |w: &str| {
-        outputs[0].iter().filter(|l| l.starts_with(w)).map(|l| &l[2..]).collect::<Vec<_>>()
-    };
-    assert_eq!(rows("0,"), rows("2,"));
-    assert!(!rows("0,").is_empty());
+    assert!(window_rows(&stdout, 1).is_empty(), "{stdout}");
+    assert_eq!(window_rows(&stdout, 0), window_rows(&stdout, 2));
+    assert!(!window_rows(&stdout, 0).is_empty());
 }
 
 #[test]

@@ -208,15 +208,6 @@ impl BatchExplainer {
         &self.cfg
     }
 
-    /// The number of worker threads a call with `jobs` jobs would actually
-    /// use: the configured cap (or the core count for `0`), bounded by the
-    /// job count. On a single-core box this is 1 — the batch silently
-    /// serializes — so CLI consumers report this number instead of the
-    /// requested cap.
-    pub fn effective_threads(&self, jobs: usize) -> usize {
-        self.pipeline.workers(Some(jobs))
-    }
-
     /// The shared-reference mode: one reference, many test windows. The
     /// reference is indexed once (see [`SortedReference`] and
     /// [`ReferenceIndex::from_sorted`], an `O(n)` pass over the sorted
@@ -382,17 +373,6 @@ mod tests {
         assert!(results[0].is_ok());
         assert!(matches!(results[1], Err(MocheError::PreferenceLengthMismatch { .. })));
         assert!(results[2].is_ok());
-    }
-
-    #[test]
-    fn effective_threads_reports_the_real_worker_count() {
-        let batch = BatchExplainer::new(0.05).unwrap().threads(8);
-        assert_eq!(batch.effective_threads(3), 3); // bounded by job count
-        assert_eq!(batch.effective_threads(100), 8); // bounded by the cap
-        assert_eq!(batch.effective_threads(0), 1); // never zero
-        let auto = BatchExplainer::new(0.05).unwrap();
-        let hw = std::thread::available_parallelism().map_or(1, |n| n.get());
-        assert_eq!(auto.effective_threads(1000), hw.min(1000));
     }
 
     #[test]

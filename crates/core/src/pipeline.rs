@@ -7,9 +7,10 @@
 //! borrowed `&[T]` windows, the stream front ends refill the drained
 //! `Vec<T>` the pipeline hands back), and a **sink** called once per window
 //! *in window order*, which may hand the output back for the kernel to
-//! [`reclaim`](WindowKernel::reclaim). With one worker the run is a plain
-//! loop on the caller's thread; with more, the caller's thread feeds and
-//! delivers while scoped workers explain:
+//! [`reclaim`](WindowKernel::reclaim). With one worker, or a feed that
+//! ends after one window, the run is a plain loop on the caller's thread;
+//! otherwise the caller's thread feeds and delivers while scoped workers,
+//! each started when a window is fed for it, explain:
 //!
 //! ```text
 //!   feed ──► job ring ──► workers ──► result ring ──► reorder ring ──► sink
@@ -78,7 +79,9 @@ pub struct StreamSummary {
     /// [`errors`](Self::errors)). The panic was isolated to that window —
     /// the run itself completed.
     pub panics: usize,
-    /// Worker threads actually used (1 means the run was sequential).
+    /// Threads that explained windows: never more than the windows, `1`
+    /// when the run was sequential on the caller's thread, `0` when there
+    /// was nothing to explain.
     pub threads: usize,
 }
 
@@ -108,10 +111,10 @@ pub struct Pipeline {
 }
 
 impl Pipeline {
-    /// The worker count a run would use: the configured cap (or the core
+    /// The most workers a run may start: the configured cap (or the core
     /// count for `0`), bounded by the job count when it is known, and
     /// never zero. `1` means the run is sequential.
-    pub fn workers(&self, jobs: Option<usize>) -> usize {
+    fn workers(&self, jobs: Option<usize>) -> usize {
         let hw = std::thread::available_parallelism().map_or(1, |n| n.get());
         let cap = if self.threads == 0 { hw } else { self.threads };
         jobs.map_or(cap, |n| cap.min(n)).max(1)
@@ -154,6 +157,11 @@ impl Pipeline {
     /// hands each result to `sink` in window order. `jobs` is the input
     /// length when known (it bounds the worker count and sizes the rings).
     ///
+    /// A worker starts only when a window is fed for it, so no run has
+    /// more workers than windows; a feed that ends after one window runs
+    /// that window on the caller's thread. Once `feed` returns `None` it is
+    /// never called again.
+    ///
     /// # Panics
     ///
     /// Re-raises a panic from `sink` after every worker has stopped.
@@ -170,58 +178,57 @@ impl Pipeline {
         K: WindowKernel,
         H: AsRef<[K::Point]> + Send,
     {
-        let workers = self.workers(jobs);
-        let mut summary = StreamSummary { threads: workers, ..StreamSummary::default() };
-        if workers == 1 {
-            let mut state = kernel();
-            let (mut spare, mut reclaimed) = (None, None);
-            while let Some(window) = feed_caught(&mut feed, spare.take()) {
+        let cap = self.workers(jobs);
+        let mut summary = StreamSummary::default();
+        // Two windows decide the shape: with fewer, or one worker, the
+        // caller's thread runs them.
+        let first = feed_caught(&mut feed, None);
+        let second = if cap > 1 && first.is_some() { feed_caught(&mut feed, None) } else { None };
+        let Some(second) = second else {
+            let Some(mut window) = first else { return summary };
+            let (mut state, mut reclaimed) = (kernel(), None);
+            summary.threads = 1;
+            loop {
                 let id = summary.windows;
                 let result = process_caught(&mut state, &kernel, id, window.as_ref(), reclaimed);
                 summary.tally(&result);
                 reclaimed = reclaimable(sink(id, result));
-                spare = Some(window);
+                if cap > 1 {
+                    return summary; // the feed has already ended
+                }
+                match feed_caught(&mut feed, Some(window)) {
+                    Some(next) => window = next,
+                    None => return summary,
+                }
             }
-            return summary;
-        }
+        };
 
-        let buffer = if self.buffer == 0 { (2 * workers).max(4) } else { self.buffer };
-        let depth = jobs.map_or(buffer + workers, |n| n.max(1));
-        // Jobs carry (id, window, output to reclaim); results carry (id,
-        // window, result) back.
-        let (job_tx, job_rx) = mpsc::sync_channel::<(usize, H, _)>(depth);
+        let buffer = if self.buffer == 0 { (2 * cap).max(4) } else { self.buffer };
+        let depth = jobs.map_or(buffer + cap, |n| n.max(2));
+        let (job_tx, job_rx) = mpsc::sync_channel::<Job<K, H>>(depth);
         let job_rx = Mutex::new(job_rx);
         let (done_tx, done_rx) = mpsc::sync_channel(depth);
+        let mut started = 0usize;
         let delivery = std::thread::scope(|scope| {
-            for _ in 0..workers {
-                let (job_rx, done_tx, kernel) = (&job_rx, done_tx.clone(), &kernel);
-                scope.spawn(move || {
-                    let mut state = kernel();
-                    loop {
-                        // Kernel panics are caught per window and never
-                        // poison this lock mid-update; a poisoned flag
-                        // carries no torn state, so recover the guard.
-                        let job = job_rx.lock().unwrap_or_else(PoisonError::into_inner).recv();
-                        let Ok((id, window, reclaimed)) = job else { break };
-                        let result =
-                            process_caught(&mut state, kernel, id, window.as_ref(), reclaimed);
-                        if done_tx.send((id, window, result)).is_err() {
-                            break; // the delivery side is gone: stop
-                        }
-                    }
-                });
-            }
-            drop(done_tx); // the workers hold the remaining senders
-
-            let mut job_tx = Some(job_tx);
+            let (mut job_tx, mut done_tx) = (Some(job_tx), Some(done_tx));
+            let (job_rx, kernel, started) = (&job_rx, &kernel, &mut started);
+            let mut held = [first, Some(second)].into_iter().flatten();
             let mut fed = 0usize;
             let mut feed_one = move |spare: Option<H>, reclaimed: Option<K::Output>| {
                 let Some(tx) = &job_tx else { return };
-                let window = feed_caught(&mut feed, spare);
+                let window = held.next().or_else(|| feed_caught(&mut feed, spare));
                 match window.map(|window| tx.send((fed, window, reclaimed))) {
                     Some(Ok(())) => fed += 1,
-                    // Exhausted: closing the job ring lets idle workers exit.
-                    _ => job_tx = None,
+                    // Exhausted: closing the job ring lets idle workers
+                    // exit, and with the caller's result sender gone the
+                    // delivery loop ends once they have.
+                    _ => (job_tx, done_tx) = (None, None),
+                }
+                // One worker per window fed, up to the cap.
+                if let Some(done) = done_tx.as_ref().filter(|_| *started < fed.min(cap)) {
+                    let done = done.clone();
+                    scope.spawn(move || work(job_rx, &done, kernel));
+                    *started += 1;
                 }
             };
             let delivery = catch_unwind(AssertUnwindSafe(|| {
@@ -253,7 +260,35 @@ impl Pipeline {
         if let Err(payload) = delivery {
             resume_unwind(payload);
         }
+        summary.threads = started;
         summary
+    }
+}
+
+/// A job for a worker: window id, window, and an output to reclaim.
+type Job<K, H> = (usize, H, Option<<K as WindowKernel>::Output>);
+
+/// A worker's answer: window id, the window handed back, and its result.
+type Done<K, H> = (usize, H, Result<<K as WindowKernel>::Output, MocheError>);
+
+/// One worker: explain jobs until the job ring closes or the delivery side
+/// goes away.
+fn work<K: WindowKernel, H: AsRef<[K::Point]>>(
+    jobs: &Mutex<mpsc::Receiver<Job<K, H>>>,
+    done: &mpsc::SyncSender<Done<K, H>>,
+    kernel: &impl Fn() -> K,
+) {
+    let mut state = kernel();
+    loop {
+        // Kernel panics are caught per window and never poison this lock
+        // mid-update; a poisoned flag carries no torn state, so recover the
+        // guard.
+        let job = jobs.lock().unwrap_or_else(PoisonError::into_inner).recv();
+        let Ok((id, window, reclaimed)) = job else { break };
+        let result = process_caught(&mut state, kernel, id, window.as_ref(), reclaimed);
+        if done.send((id, window, result)).is_err() {
+            break; // the delivery side is gone: stop
+        }
     }
 }
 
@@ -409,6 +444,82 @@ mod tests {
             assert_eq!((summary.windows, summary.threads), (input.len(), threads));
             assert_eq!((summary.explained, summary.errors), (32, 8));
             assert!(fresh.get() <= depth, "{} fresh buffers for depth {depth}", fresh.get());
+        }
+    }
+
+    /// Runs `windows` as a feed of unknown length at `threads`, returning
+    /// the summary, the delivered outputs and the kernels built.
+    fn run_unknown_length(
+        threads: usize,
+        windows: &[Vec<i64>],
+    ) -> (StreamSummary, Vec<Vec<i64>>, usize) {
+        let built = std::sync::atomic::AtomicUsize::new(0);
+        let kernel = || {
+            built.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+            Doubler { gate: None }
+        };
+        let mut next = windows.iter();
+        let mut delivered = Vec::new();
+        let summary = Pipeline { threads, buffer: 0 }.run(
+            None,
+            kernel,
+            |_| next.next(),
+            |_, result| {
+                delivered.push(result.unwrap());
+                None
+            },
+        );
+        (summary, delivered, built.into_inner())
+    }
+
+    #[test]
+    fn a_one_window_feed_runs_on_the_callers_thread() {
+        let (summary, delivered, built) = run_unknown_length(4, &[vec![3, 4]]);
+        assert_eq!((summary.windows, summary.threads), (1, 1));
+        assert_eq!(delivered, vec![vec![6, 8]]);
+        assert_eq!(built, 1, "one kernel, no workers");
+        let (summary, delivered, built) = run_unknown_length(4, &[]);
+        assert_eq!(summary, StreamSummary::default());
+        assert!(delivered.is_empty());
+        assert_eq!(built, 0);
+    }
+
+    #[test]
+    fn workers_start_only_for_windows_fed() {
+        let (summary, delivered, built) = run_unknown_length(8, &[vec![1], vec![2]]);
+        assert_eq!((summary.windows, summary.threads), (2, 2));
+        assert_eq!(delivered, vec![vec![2], vec![4]]);
+        assert_eq!(built, 2, "two windows start two workers");
+        let (summary, _, built) = run_unknown_length(3, &windows(20)[..4]);
+        assert_eq!((summary.threads, built), (3, 3), "never more than the cap");
+    }
+
+    #[test]
+    fn a_panicking_feed_ends_the_stream_in_order_and_is_never_called_again() {
+        // On its second pull, then later, once the workers are running.
+        for (threads, fails_at) in [(1, 2), (4, 2), (4, 6)] {
+            let pulls = Cell::new(0);
+            let feed = |_: Option<Vec<i64>>| {
+                pulls.set(pulls.get() + 1);
+                assert!(pulls.get() < fails_at, "feed failed on pull {fails_at}");
+                Some(vec![pulls.get()])
+            };
+            let mut delivered = Vec::new();
+            let summary = Pipeline { threads, buffer: 0 }.run(
+                None,
+                || Doubler { gate: None },
+                feed,
+                |id, result| {
+                    delivered.push((id, result.unwrap()));
+                    None
+                },
+            );
+            let fed = fails_at - 1;
+            assert_eq!(summary.windows, fed as usize, "threads = {threads}");
+            assert_eq!(summary.threads, (fed as usize).min(threads));
+            let expected: Vec<_> = (0..fed).map(|w| (w as usize, vec![2 * (w + 1)])).collect();
+            assert_eq!(delivered, expected, "in order (threads = {threads})");
+            assert_eq!(pulls.get(), fails_at, "no pull after the panic (threads = {threads})");
         }
     }
 

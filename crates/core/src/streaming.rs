@@ -183,13 +183,6 @@ impl StreamingBatchExplainer {
         &self.cfg
     }
 
-    /// The number of worker threads a run would actually use (the
-    /// configured cap, or the core count for `0`). `1` means runs will be
-    /// sequential.
-    pub fn effective_threads(&self) -> usize {
-        self.pipeline.workers(None)
-    }
-
     /// Streams every window through the worker pool, calling `on_result`
     /// once per window **in arrival order**. `score`, when given, derives
     /// each window's preference inside the workers

@@ -62,6 +62,7 @@ fn injected_faults_are_contained() {
     stream_worker_panic_hits_only_window_k(&index, &windows, &stream_clean);
     feeder_error_ends_the_stream_in_order(&index, &windows, &stream_clean);
     feeder_panic_is_contained_as_end_of_stream(&index, &windows, &stream_clean);
+    feeder_failpoint_fires_once_per_pull(&index, &windows);
     delivery_panic_resurfaces_after_clean_shutdown(&index, &windows);
     dropped_reclaims_degrade_without_changing_output(&index, &windows, &stream_clean);
 }
@@ -194,6 +195,32 @@ fn feeder_panic_is_contained_as_end_of_stream(
 
         assert_eq!(summary.windows, fed, "threads = {threads}");
         assert_eq!(results, clean[..fed], "threads = {threads}");
+    }
+}
+
+/// Every pull of the source passes the feeder failpoint exactly once:
+/// with `skip` hits let through, the source is called `skip` times and
+/// never again. That holds for the pulls that decide the run's shape too,
+/// so `skip = 1` on a parallel stream is a one-window run.
+fn feeder_failpoint_fires_once_per_pull(index: &ReferenceIndex, windows: &[Vec<f64>]) {
+    for threads in [1usize, 4] {
+        for skip in [0, 1, 2, 7] {
+            fault::arm("pipeline.feeder", Fault::Error, skip, 1);
+            let mut pulls = 0usize;
+            let source = |buf: &mut Vec<f64>| {
+                buf.clear();
+                buf.extend_from_slice(&windows[pulls % windows.len()]);
+                pulls += 1;
+                true
+            };
+            let streamer = StreamingBatchExplainer::new(0.05).unwrap().threads(threads).buffer(2);
+            let summary = streamer.explain_source(index, source, None, |_| {});
+            fault::disarm("pipeline.feeder");
+
+            assert_eq!(pulls, skip, "threads = {threads}, skip = {skip}");
+            assert_eq!(summary.windows, skip);
+            assert_eq!(summary.threads, skip.min(threads), "threads = {threads}, skip = {skip}");
+        }
     }
 }
 

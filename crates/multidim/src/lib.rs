@@ -22,14 +22,15 @@
 //!   analogue of `moche_core::MocheEngine` + `ExplanationArena`: a warm
 //!   engine/arena pair explains a window with zero marginal heap
 //!   allocations and byte-identical output to [`GreedyImpact2d`].
-//! * [`batch2d`] / [`stream2d`] — batch and bounded-memory streaming front
-//!   ends of `moche_core::pipeline` over shared indexes: the same worker
-//!   pipeline, per-window error isolation and in-order delivery as 1-D.
+//! * [`stream2d`] — [`Stream2dExplainer`], the bounded-memory streaming
+//!   front end of `moche_core::pipeline` over a shared [`RankIndex2d`]:
+//!   the same worker pipeline, per-window error isolation and in-order
+//!   delivery as 1-D. It serves every multi-window 2-D job, resident or
+//!   read from a file.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod batch2d;
 pub mod engine2d;
 pub mod explain2d;
 pub mod ks2d;
@@ -37,7 +38,6 @@ pub mod point2;
 pub mod rank_index;
 pub mod stream2d;
 
-pub use batch2d::Batch2dExplainer;
 pub use engine2d::{Explain2dEngine, Explanation2dArena};
 pub use explain2d::{Explanation2d, GreedyImpact2d, GreedyPrefix2d};
 pub use ks2d::{ks2d_statistic, ks2d_test, pearson_r, Ks2dConfig, Ks2dOutcome};

@@ -25,12 +25,12 @@
 //! assert_eq!((summary.windows, summary.explained), (3, 3));
 //! ```
 
-use crate::batch2d::Kernel2d;
+use crate::engine2d::{Explain2dEngine, Explanation2dArena};
 use crate::explain2d::Explanation2d;
 use crate::ks2d::Ks2dConfig;
 use crate::point2::Point2;
 use crate::rank_index::RankIndex2d;
-use moche_core::pipeline::{refill, Pipeline};
+use moche_core::pipeline::{refill, Pipeline, WindowKernel};
 use moche_core::{MocheError, PreferenceList, StreamSummary};
 
 /// A pull source of 2-D windows: fill the (cleared) buffer and return
@@ -51,6 +51,34 @@ impl<F: FnMut(&mut Vec<Point2>) -> bool> Window2dSource for F {
 /// and points in, preference out.
 pub type Score2dFn<'a> =
     &'a (dyn Fn(usize, &[Point2]) -> Result<PreferenceList, MocheError> + Sync);
+
+/// The 2-D [`WindowKernel`]: a warm engine and an output arena per worker
+/// over the shared index, with each window's preference from the score
+/// callback (identity without one).
+struct Kernel2d<'a> {
+    engine: Explain2dEngine,
+    arena: Explanation2dArena,
+    index: &'a RankIndex2d,
+    score: Option<Score2dFn<'a>>,
+}
+
+impl WindowKernel for Kernel2d<'_> {
+    type Point = Point2;
+    type Output = Explanation2d;
+
+    fn process(
+        &mut self,
+        window_id: usize,
+        window: &[Point2],
+    ) -> Result<Explanation2d, MocheError> {
+        let preference = self.score.map(|score| score(window_id, window)).transpose()?;
+        self.engine.explain_in(self.index, window, preference.as_ref(), &mut self.arena)
+    }
+
+    fn reclaim(&mut self, explanation: Explanation2d) {
+        self.arena.recycle(explanation);
+    }
+}
 
 /// One delivered streaming result.
 #[derive(Debug)]
@@ -99,11 +127,6 @@ impl Stream2dExplainer {
         self
     }
 
-    /// The worker count a run would use.
-    pub fn effective_threads(&self) -> usize {
-        self.pipeline.workers(None)
-    }
-
     /// Drains `source`, delivering every window's result to `sink` in
     /// window order, and returns the aggregate summary. A panicking source
     /// ends the stream early (windows already dispatched still complete and
@@ -116,7 +139,12 @@ impl Stream2dExplainer {
         preferences: Option<Score2dFn<'_>>,
         mut sink: impl FnMut(&Stream2dResult),
     ) -> StreamSummary {
-        let kernel = || Kernel2d::new(self.cfg, index, None, preferences);
+        let kernel = || Kernel2d {
+            engine: Explain2dEngine::with_config(self.cfg),
+            arena: Explanation2dArena::new(),
+            index,
+            score: preferences,
+        };
         let feed = refill(|window: &mut Vec<Point2>| {
             window.clear();
             source.fill(window)
@@ -254,7 +282,8 @@ mod tests {
             None,
             |_| panic!("no windows, no deliveries"),
         );
-        assert_eq!(summary, StreamSummary { threads: 2, ..Default::default() });
+        // No windows start no workers.
+        assert_eq!(summary, StreamSummary::default());
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Failpoint-driven fault scenarios for the 2-D batch and streaming paths.
+//! Failpoint-driven fault scenarios for the 2-D streaming path.
 //!
 //! Compiles only under `--features fault-injection`. Mirrors the 1-D suite
 //! in `crates/core/tests/fault_injection.rs`: the registry is
@@ -9,9 +9,7 @@
 
 use moche_core::fault::{self, Fault};
 use moche_core::MocheError;
-use moche_multidim::{
-    Batch2dExplainer, Explanation2d, Ks2dConfig, Point2, RankIndex2d, Stream2dExplainer,
-};
+use moche_multidim::{Explanation2d, Ks2dConfig, Point2, RankIndex2d, Stream2dExplainer};
 
 fn grid(n: usize, ox: f64, oy: f64) -> Vec<Point2> {
     (0..n)
@@ -42,6 +40,23 @@ fn vec_source(windows: Vec<Vec<Point2>>) -> impl FnMut(&mut Vec<Point2>) -> bool
     }
 }
 
+/// Every window's result, in delivery order, from a stream at `threads`.
+fn collect(
+    cfg: Ks2dConfig,
+    threads: usize,
+    index: &RankIndex2d,
+    windows: &[Vec<Point2>],
+) -> Vec<Result<Explanation2d, MocheError>> {
+    let mut results = Vec::new();
+    Stream2dExplainer::with_config(cfg).threads(threads).explain_source(
+        index,
+        vec_source(windows.to_vec()),
+        None,
+        |delivered| results.push(delivered.result.clone()),
+    );
+    results
+}
+
 #[test]
 fn injected_2d_faults_are_contained() {
     let (reference, windows) = setup(10);
@@ -49,20 +64,19 @@ fn injected_2d_faults_are_contained() {
     let cfg = Ks2dConfig::new(0.05).unwrap();
 
     // Clean baseline to diff every faulted run against.
-    let clean =
-        Batch2dExplainer::with_config(cfg).threads(1).explain_windows(&index, &windows, None);
+    let clean = collect(cfg, 1, &index, &windows);
     assert!(clean.iter().all(Result::is_ok));
 
-    batch2d_worker_panic_hits_only_window_k(cfg, &index, &windows, &clean);
-    batch2d_parallel_worker_panic_hits_exactly_one_window(cfg, &index, &windows, &clean);
+    worker_panic_hits_only_window_k(cfg, &index, &windows, &clean);
+    parallel_worker_panic_hits_exactly_one_window(cfg, &index, &windows, &clean);
     stream2d_worker_panic_is_isolated_and_tallied(cfg, &index, &windows, &clean);
     stream2d_feeder_error_ends_the_stream_in_order(cfg, &index, &windows, &clean);
 }
 
-/// A panic injected at window `k` of a 2-D batch run yields
+/// A panic injected at window `k` of a sequential 2-D run yields
 /// `WorkerPanicked` for window `k` and *only* window `k`, and the worker's
 /// rebuilt engine keeps producing baseline-identical output afterwards.
-fn batch2d_worker_panic_hits_only_window_k(
+fn worker_panic_hits_only_window_k(
     cfg: Ks2dConfig,
     index: &RankIndex2d,
     windows: &[Vec<Point2>],
@@ -70,8 +84,7 @@ fn batch2d_worker_panic_hits_only_window_k(
 ) {
     let k = 4;
     fault::arm("pipeline.worker", Fault::Panic, k, 1);
-    let results =
-        Batch2dExplainer::with_config(cfg).threads(1).explain_windows(index, windows, None);
+    let results = collect(cfg, 1, index, windows);
     fault::disarm("pipeline.worker");
 
     for (i, (got, want)) in results.iter().zip(clean).enumerate() {
@@ -93,17 +106,16 @@ fn batch2d_worker_panic_hits_only_window_k(
     }
 }
 
-/// Under a parallel pool the panic still costs exactly one window (which
+/// Under parallel workers the panic still costs exactly one window (which
 /// one depends on scheduling), and every other window matches the baseline.
-fn batch2d_parallel_worker_panic_hits_exactly_one_window(
+fn parallel_worker_panic_hits_exactly_one_window(
     cfg: Ks2dConfig,
     index: &RankIndex2d,
     windows: &[Vec<Point2>],
     clean: &[Result<Explanation2d, MocheError>],
 ) {
     fault::arm("pipeline.worker", Fault::Panic, 3, 1);
-    let results =
-        Batch2dExplainer::with_config(cfg).threads(4).explain_windows(index, windows, None);
+    let results = collect(cfg, 4, index, windows);
     fault::disarm("pipeline.worker");
 
     let mut panicked = 0usize;
