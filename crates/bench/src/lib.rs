@@ -1,7 +1,7 @@
 //! # moche-bench
 //!
 //! The experiment harness regenerating every table and figure of the MOCHE
-//! paper's evaluation (Section 6), plus Criterion microbenchmarks:
+//! paper's evaluation (Section 6):
 //!
 //! | Paper artifact | Regenerator binary | Module |
 //! |---|---|---|
@@ -20,10 +20,11 @@
 //! defaults to a quick configuration (minutes) that preserves each
 //! experiment's *shape*; `--seed N` overrides the master seed.
 //!
-//! Criterion benches (`cargo bench -p moche-bench`): `ks_primitives`,
-//! `phase1` (including the `MOCHE_ns` ablation), `phase2` (incremental vs
-//! paper-faithful construction), `end_to_end` (Figure 5a's shape) and
-//! `scaling` (Figure 5b's shape).
+//! One Criterion bench, `phase1` (`cargo bench -p moche-bench --bench
+//! phase1`), sweeps the Phase-1 size search over window sizes, including
+//! the `MOCHE_ns` ablation. Figure 5's runtimes come from
+//! `fig5a_runtime_twt` and `fig5b_runtime_synthetic`; the hot-path timings
+//! and allocation counts come from `run_all --bench-json` ([`perf`]).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

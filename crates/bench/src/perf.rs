@@ -5,7 +5,7 @@
 //! `BENCH_core.json` — a map from benchmark name to `ns_per_iter`,
 //! `per_sec` and (when the caller installs a counting allocator, as
 //! `run_all` does) `allocs_per_iter`. Perf PRs diff these files to prove a
-//! win; the criterion benches cover the same paths interactively.
+//! win.
 //!
 //! The suite pins the workload the ROADMAP cares about: `w = 10_000`
 //! reference/test sizes, the allocating one-shot paths against the
@@ -306,10 +306,8 @@ pub fn evidence_suite(alloc_counter: Option<&dyn Fn() -> u64>) -> Vec<BenchRecor
 /// The 2-D evidence fixture: a dense lattice reference and a window whose
 /// tail is a far-off contaminating cluster, so the Fasano-Franceschini test
 /// fails and the explanation is the cluster. Sizes are modest because the
-/// naive impact explainer is the quadratic "before" entry. Shared with
-/// `benches/explain2d.rs`, so the criterion numbers and the
-/// `BENCH_core.json` evidence measure the identical workload.
-pub fn contaminated2d() -> (Vec<Point2>, Vec<Point2>) {
+/// naive impact explainer is the quadratic "before" entry.
+fn contaminated2d() -> (Vec<Point2>, Vec<Point2>) {
     let grid = |n: usize, ox: f64, oy: f64| -> Vec<Point2> {
         (0..n)
             .map(|i| {
@@ -381,10 +379,8 @@ fn ks2d_suite(alloc_counter: Option<&dyn Fn() -> u64>) -> Vec<BenchRecord> {
 /// realistic order-statistic depth, and a reference the old per-alarm sort
 /// cannot shortcut through pdqsort's few-distinct fast path) while the
 /// jitter's period-`w` alignment keeps paired windows distribution-equal —
-/// the stationary stream never false-alarms. Shared with
-/// `benches/monitor_alarm.rs`, so the criterion numbers and the
-/// `BENCH_core.json` evidence measure the identical workload.
-pub fn monitor_observation(i: usize, w: usize, shifted: bool) -> f64 {
+/// the stationary stream never false-alarms.
+fn monitor_observation(i: usize, w: usize, shifted: bool) -> f64 {
     ((i * 13) % 11) as f64 + (i % w) as f64 * 1e-8 + if shifted { 20.0 } else { 0.0 }
 }
 
@@ -393,7 +389,7 @@ pub fn monitor_observation(i: usize, w: usize, shifted: bool) -> f64 {
 /// afterwards explains the drift. Alarm handling is left to the caller
 /// (`explain_on_drift` off); the stream position to continue pushing from
 /// is `2 * w`.
-pub fn alarmed_monitor(w: usize) -> DriftMonitor {
+fn alarmed_monitor(w: usize) -> DriftMonitor {
     let mut cfg = MonitorConfig::new(w, 0.05);
     cfg.reset_on_drift = false;
     cfg.explain_on_drift = false;
@@ -417,7 +413,7 @@ pub fn alarmed_monitor(w: usize) -> DriftMonitor {
 /// ~`w` iterations) that the median is unaffected, and the iteration
 /// count stays unbounded-safe on any harness. Returns the explanation
 /// size.
-pub fn alarm_explain_iteration(mon: &mut DriftMonitor, at: &mut usize, w: usize) -> usize {
+fn alarm_explain_iteration(mon: &mut DriftMonitor, at: &mut usize, w: usize) -> usize {
     mon.push(black_box(monitor_observation(*at, w, true)));
     *at += 1;
     let e = match mon.explain_current() {
@@ -434,7 +430,7 @@ pub fn alarm_explain_iteration(mon: &mut DriftMonitor, at: &mut usize, w: usize)
 }
 
 /// The size-only counterpart of [`alarm_explain_iteration`].
-pub fn alarm_size_iteration(mon: &mut DriftMonitor, at: &mut usize, w: usize) -> SizeSearch {
+fn alarm_size_iteration(mon: &mut DriftMonitor, at: &mut usize, w: usize) -> SizeSearch {
     mon.push(black_box(monitor_observation(*at, w, true)));
     *at += 1;
     match mon.size_current() {
@@ -520,10 +516,8 @@ fn monitor_suite(w: usize, alloc_counter: Option<&dyn Fn() -> u64>) -> Vec<Bench
 /// every window pair is full (so the measured pushes are all steady-state
 /// slides). Observations come from [`monitor_observation`], one stream
 /// position per full round-robin pass — the daemon's access pattern,
-/// where consecutive pushes hit different shards and series. Shared with
-/// `benches/fleet_push.rs`, so the criterion numbers and the
-/// `BENCH_core.json` evidence measure the identical workload.
-pub fn warmed_fleet(series: u64, w: usize, shards: usize) -> (MonitorFleet, usize) {
+/// where consecutive pushes hit different shards and series.
+fn warmed_fleet(series: u64, w: usize, shards: usize) -> (MonitorFleet, usize) {
     let mut monitor = MonitorConfig::new(w, 0.05);
     monitor.reset_on_drift = false;
     let mut fleet = MonitorFleet::new(FleetConfig::new(shards, monitor)).expect("valid config");

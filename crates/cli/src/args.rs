@@ -276,6 +276,32 @@ EXIT CODES:
      that failed
 ";
 
+/// The flags each subcommand takes: exactly those of its `USAGE` synopsis,
+/// plus `--preference` for `batch2d` (which accepts only `identity`). Any
+/// other flag is a usage error, so a flag is never silently ignored.
+const FLAGS: &[(&str, &str)] = &[
+    ("test", "--alpha"),
+    ("size", "--alpha"),
+    ("explain", "--alpha --preference --format"),
+    ("batch", "--alpha --threads --preference --format --size-only"),
+    ("batch2d", "--alpha --threads --format --preference"),
+    (
+        "monitor",
+        "--window --alpha --no-explain --size-only --checkpoint --checkpoint-every --resume",
+    ),
+    (
+        "serve",
+        "--listen --unix --window --alpha --workers --no-explain --size-only --explain-queue \
+         --ring --max-series --max-connections --idle-timeout --io-timeout --error-budget \
+         --checkpoint-dir --checkpoint-every --resume --sr-filter-window --sr-score-window",
+    ),
+];
+
+/// Whether `flag` is one of the space-separated `flags`.
+fn takes(flags: &str, flag: &str) -> bool {
+    flags.split_whitespace().any(|f| f == flag)
+}
+
 fn parse_count(value: Option<&str>, flag: &str) -> Result<usize, CliError> {
     let raw = value.ok_or_else(|| CliError::Usage(format!("{flag} needs a value")))?;
     raw.parse().map_err(|_| CliError::Usage(format!("invalid {flag} '{raw}'")))
@@ -300,6 +326,10 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
     if sub == "help" || sub == "--help" || sub == "-h" {
         return Ok(Command::Help);
     }
+    let unknown_command = || CliError::Usage(format!("unknown command '{sub}' (try 'moche help')"));
+    let Some(&(_, flags)) = FLAGS.iter().find(|(name, _)| *name == sub) else {
+        return Err(unknown_command());
+    };
 
     // Collect positionals and flags for the remainder.
     let mut positionals: Vec<&str> = Vec::new();
@@ -329,6 +359,13 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
     let mut sr_filter_window: Option<usize> = None;
     let mut sr_score_window: Option<usize> = None;
     while let Some(arg) = it.next() {
+        if arg.starts_with("--") && !takes(flags, arg) {
+            return Err(CliError::Usage(if FLAGS.iter().any(|&(_, f)| takes(f, arg)) {
+                format!("'moche {sub}' does not take '{arg}'")
+            } else {
+                format!("unknown flag '{arg}'")
+            }));
+        }
         match arg {
             "--alpha" => alpha = parse_alpha(it.next())?,
             "--threads" => {
@@ -477,9 +514,6 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
                     other => return Err(CliError::Usage(format!("unknown preference '{other}'"))),
                 };
             }
-            flag if flag.starts_with("--") => {
-                return Err(CliError::Usage(format!("unknown flag '{flag}'")));
-            }
             positional => positionals.push(positional),
         }
     }
@@ -545,9 +579,6 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
                     "batch2d supports --preference identity only (points have no scalar order)"
                         .into(),
                 ));
-            }
-            if size_only {
-                return Err(CliError::Usage("batch2d does not support --size-only".into()));
             }
             Ok(Command::Batch2d {
                 reference: PathBuf::from(positionals[0]),
@@ -627,7 +658,7 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
                 sr_score_window,
             }))
         }
-        other => Err(CliError::Usage(format!("unknown command '{other}' (try 'moche help')"))),
+        _ => Err(unknown_command()),
     }
 }
 
@@ -959,6 +990,35 @@ mod tests {
         assert!(matches!(parse_err(&["test", "r", "t", "--bogus"]), CliError::Usage(_)));
         assert!(matches!(parse_err(&["test", "r"]), CliError::Usage(_)));
         assert!(matches!(parse_err(&["test", "r", "t", "x"]), CliError::Usage(_)));
+    }
+
+    #[test]
+    fn a_flag_the_subcommand_does_not_take_is_a_usage_error() {
+        let rejected = [
+            ("monitor s --window 100 --sr-filter-window 7", "--sr-filter-window"),
+            ("monitor s --window 100 --threads 9", "--threads"),
+            ("monitor s --window 100 --ring 5", "--ring"),
+            ("monitor s --window 100 --listen x:1", "--listen"),
+            ("explain r t --size-only", "--size-only"),
+            ("explain r t --threads 4", "--threads"),
+            ("test r t --format csv", "--format"),
+            ("test r t --checkpoint-dir /x", "--checkpoint-dir"),
+            ("size r t --preference identity", "--preference"),
+            ("batch r w --window 5", "--window"),
+            ("batch r w --no-explain", "--no-explain"),
+            ("batch2d r w --size-only", "--size-only"),
+            ("serve --listen h:1 --window 8 --threads 2", "--threads"),
+            ("serve --listen h:1 --window 8 --checkpoint c", "--checkpoint"),
+        ];
+        for (line, flag) in rejected {
+            let sub = line.split(' ').next().unwrap();
+            match parse_err(&line.split(' ').collect::<Vec<_>>()) {
+                CliError::Usage(msg) => {
+                    assert_eq!(msg, format!("'moche {sub}' does not take '{flag}'"), "{line}")
+                }
+                other => panic!("{line}: expected a usage error, got {other:?}"),
+            }
+        }
     }
 
     #[test]

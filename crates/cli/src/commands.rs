@@ -18,9 +18,10 @@ use moche_multidim::{Explanation2d, Point2, RankIndex2d, Stream2dExplainer, Stre
 use moche_sigproc::{SaliencyScratch, SpectralResidual};
 use moche_stream::{DriftMonitor, MonitorConfig, MonitorEvent, MonitorSnapshot};
 use std::cell::RefCell;
+use std::collections::HashSet;
 use std::io::Write;
 use std::path::Path;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Fault-tolerance bookkeeping for one run: everything that went wrong but
@@ -221,7 +222,8 @@ thread_local! {
 /// window values — the per-window score work `moche batch` runs *inside*
 /// the worker threads (see [`moche_core::WindowPreferences::Scored`]). A
 /// window SR cannot score (too short, non-finite, or overflowing the
-/// transform) is ranked in identity order and counted in `degraded`.
+/// transform) is ranked in identity order, and the returned flag says the
+/// preference is degraded.
 ///
 /// # Panics
 ///
@@ -230,9 +232,8 @@ thread_local! {
 fn window_preference(
     t: &[f64],
     source: &PreferenceSource,
-    degraded: &AtomicUsize,
-) -> Result<PreferenceList, MocheError> {
-    match source {
+) -> Result<(PreferenceList, bool), MocheError> {
+    let list = match source {
         PreferenceSource::SpectralResidual => {
             // SR panics on non-finite input (the explain call then reports
             // the NonFiniteValue error properly) and overflows on extreme
@@ -244,36 +245,34 @@ fn window_preference(
                         .map(|()| PreferenceList::from_scores_desc(scores))
                 });
                 if let Ok(list) = scored {
-                    return list;
+                    return Ok((list?, false));
                 }
             }
-            // lint:allow(relaxed): monotonic stats counter; no cross-thread handoff rides on it
-            degraded.fetch_add(1, Ordering::Relaxed);
-            Ok(PreferenceList::identity(t.len()))
+            return Ok((PreferenceList::identity(t.len()), true));
         }
-        PreferenceSource::ValueDesc => PreferenceList::from_scores_desc(t),
-        PreferenceSource::ValueAsc => PreferenceList::from_scores_asc(t),
-        PreferenceSource::Identity => Ok(PreferenceList::identity(t.len())),
+        PreferenceSource::ValueDesc => PreferenceList::from_scores_desc(t)?,
+        PreferenceSource::ValueAsc => PreferenceList::from_scores_asc(t)?,
+        PreferenceSource::Identity => PreferenceList::identity(t.len()),
         PreferenceSource::ScoreColumn | PreferenceSource::ScoreFile(_) => {
             // lint:allow(panic): parse() maps these sources to per-window
             // score columns/files before any command runs; reaching here is
             // a parser bug, not an input condition.
             unreachable!("the batch parser rejects file-backed preference sources")
         }
-    }
+    };
+    Ok((list, false))
 }
 
 fn build_preference(
     t: &[f64],
     scores_column: Option<Vec<f64>>,
     source: &PreferenceSource,
-    degraded: &AtomicUsize,
-) -> Result<PreferenceList, CliError> {
+) -> Result<(PreferenceList, bool), CliError> {
     let list = match source {
         PreferenceSource::SpectralResidual
         | PreferenceSource::ValueDesc
         | PreferenceSource::ValueAsc
-        | PreferenceSource::Identity => window_preference(t, source, degraded)?,
+        | PreferenceSource::Identity => return Ok(window_preference(t, source)?),
         PreferenceSource::ScoreColumn => {
             let scores = scores_column.ok_or_else(|| {
                 CliError::Usage(
@@ -296,7 +295,7 @@ fn build_preference(
             PreferenceList::from_scores_desc(&scores)?
         }
     };
-    Ok(list)
+    Ok((list, false))
 }
 
 fn run_explain(
@@ -309,11 +308,10 @@ fn run_explain(
     out: &mut dyn Write,
 ) -> Result<RunStatus, CliError> {
     let moche = Moche::new(alpha)?;
-    let degraded = AtomicUsize::new(0);
-    let preference = build_preference(t, scores_column, source, &degraded)?;
+    let (preference, degraded) = build_preference(t, scores_column, source)?;
     let e = moche.explain(r, t, &preference)?;
     let health =
-        HealthReport { degraded_preferences: degraded.into_inner(), ..HealthReport::default() };
+        HealthReport { degraded_preferences: usize::from(degraded), ..HealthReport::default() };
 
     match format {
         OutputFormat::Csv => {
@@ -433,8 +431,19 @@ fn run_batch_stream(
     let mode = if size_only { StreamMode::SizeOnly } else { StreamMode::Explain };
     let streamer = StreamingBatchExplainer::new(opts.alpha)?.threads(opts.threads).mode(mode);
     let mut reader = WindowReader::open(windows, parse_window_line_into)?;
-    let degraded = AtomicUsize::new(0);
-    let score = |_: usize, w: &[f64]| window_preference(w, opts.preference, &degraded);
+    // Windows scored under a degraded preference, by id, until their result
+    // is delivered. Only an explained window counts as degraded (the rule
+    // of `HealthReport` and the monitor), and every delivery removes its
+    // id, so the set holds at most the windows in flight.
+    let degraded_ids = Mutex::new(HashSet::new());
+    let score = |id: usize, w: &[f64]| {
+        let (list, degraded) = window_preference(w, opts.preference)?;
+        if degraded {
+            degraded_ids.lock().unwrap_or_else(PoisonError::into_inner).insert(id);
+        }
+        Ok(list)
+    };
+    let mut degraded = 0usize;
 
     if opts.format == OutputFormat::Csv {
         writeln!(out, "{}", if size_only { "window,k,k_hat" } else { "window,index,value" })?;
@@ -448,6 +457,11 @@ fn run_batch_stream(
         |buf: &mut Vec<f64>| reader.fill(buf),
         Some(&score),
         |res: &StreamResult| {
+            let was_degraded =
+                degraded_ids.lock().unwrap_or_else(PoisonError::into_inner).remove(&res.window);
+            if was_degraded && matches!(res.result, Ok(WindowReport::Explained(_))) {
+                degraded += 1;
+            }
             if written.is_ok() {
                 written = write_stream_result(out, opts.format, res);
             }
@@ -460,8 +474,7 @@ fn run_batch_stream(
     reader.finish()?;
     let health = HealthReport {
         worker_panics: summary.panics,
-        // lint:allow(relaxed): monotonic stats counter; no cross-thread handoff rides on it
-        degraded_preferences: degraded.load(Ordering::Relaxed),
+        degraded_preferences: degraded,
         ..HealthReport::default()
     };
     let verb = if size_only { "sized" } else { "explained" };
@@ -723,6 +736,7 @@ fn run_monitor(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     fn shifted_sets() -> (Vec<f64>, Vec<f64>) {
         let r: Vec<f64> = (0..60).map(|i| f64::from(i % 8)).collect();
@@ -1026,24 +1040,34 @@ mod tests {
     }
 
     #[test]
-    fn batch_health_counts_degraded_preferences() {
+    fn batch_counts_degraded_preferences_only_on_explained_windows() {
+        // Three points are too few for SR and a NaN cannot be scored, so
+        // every window below but `t` is ranked in identity order. Only the
+        // explained ones count: passing windows explain nothing, and the
+        // NaN window then fails input validation.
         let (r, t) = shifted_sets();
-        // The NaN window cannot be SR-scored: the preference degrades to
-        // identity (counted in health) and the window itself then fails
-        // input validation.
-        let bad = vec![f64::NAN, 1.0, 2.0, 3.0, 4.0];
-        let windows = vec![t.clone(), bad];
-        let opts = batch_opts(0.05, 1, &PreferenceSource::SpectralResidual, OutputFormat::Csv);
-        let (out, status) = batch(&r, &windows, &opts).unwrap();
-        assert!(out.lines().any(|l| l.starts_with("# health:")), "{out}");
-        assert_eq!(status.health.degraded_preferences, 1);
-        assert_eq!(status.health.worker_panics, 0);
-        assert!(out.contains("1 degraded preference(s)"), "{out}");
-        assert!(out.contains("[DEGRADED]"), "{out}");
+        let passing = vec![vec![1.0, 3.0, 5.0]; 6];
+        let failing = vec![vec![40.0, 41.0, 42.0]; 6];
+        let bad = vec![vec![f64::NAN, 1.0, 2.0, 3.0, 4.0], t.clone()];
+        let mixed: Vec<Vec<f64>> =
+            passing.iter().zip(&failing).flat_map(|(p, f)| [p.clone(), f.clone()]).collect();
+        let sr = PreferenceSource::SpectralResidual;
+        for threads in [1, 2] {
+            let opts = batch_opts(0.05, threads, &sr, OutputFormat::Text);
+            for (windows, explained, degraded) in
+                [(&passing, 0, 0), (&failing, 6, 6), (&mixed, 6, 6), (&bad, 1, 0)]
+            {
+                let (out, status) = batch(&r, windows, &opts).unwrap();
+                assert_eq!(status.windows_explained, explained, "{out}");
+                assert_eq!(status.health.degraded_preferences, degraded, "{out}");
+                assert!(out.contains(&format!("{degraded} degraded preference(s)")), "{out}");
+                assert_eq!(out.contains("[DEGRADED]"), degraded > 0, "{out}");
+            }
+        }
         // A clean batch reports clean health, without the degraded marker.
-        let clean_opts = batch_opts(0.05, 1, &PreferenceSource::Identity, OutputFormat::Text);
+        let clean_opts = batch_opts(0.05, 1, &PreferenceSource::Identity, OutputFormat::Csv);
         let (clean, clean_status) = batch(&r, &[t], &clean_opts).unwrap();
-        assert!(clean.contains("health: 0 worker panic(s)"), "{clean}");
+        assert!(clean.contains("# health: 0 worker panic(s)"), "{clean}");
         assert!(!clean.contains("[DEGRADED]"), "{clean}");
         assert_eq!(clean_status.health, HealthReport::default());
     }

@@ -480,6 +480,19 @@ fn monitor_checkpoint_usage_errors_exit_with_code_2() {
 }
 
 #[test]
+fn monitor_rejects_a_serve_flag_with_code_2() {
+    // `--sr-filter-window` sets the daemon's Spectral Residual window; the
+    // monitor would run with its defaults, so the flag must not parse.
+    let dir = TempDir::new("monitor-serve-flag");
+    let series = dir.write("series.txt", &numbers((0..200).map(|i| f64::from(i % 7))));
+    let args = ["--window", "100", "--sr-filter-window", "7"];
+    let out = bin().arg("monitor").arg(&series).args(args).output().unwrap();
+    assert_eq!(out.status.code(), Some(2));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("'moche monitor' does not take '--sr-filter-window'"), "{stderr}");
+}
+
+#[test]
 fn batch_reports_health_line() {
     let dir = TempDir::new("health");
     let (r, w) = windows_file(&dir);

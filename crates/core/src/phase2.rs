@@ -24,11 +24,12 @@
 //! * [`construct_reference`] — the paper-faithful version that recomputes
 //!   the full `O(q)` backward pass for every candidate
 //!   (total `O(m (n + m))`, the paper's stated complexity), and
-//! * [`construct`] — an exactly equivalent incremental version. Adding a
-//!   point at base index `j` leaves `ū_i` unchanged for `i >= j`, and the
-//!   decrement below `j` propagates only until absorbed by slack in
-//!   `u_i^k`, so each check touches only the coordinates that actually
-//!   change. Equivalence is enforced by unit and property tests.
+//! * [`construct_into`] — an exactly equivalent incremental version, the
+//!   one the engine runs. Adding a point at base index `j` leaves `ū_i`
+//!   unchanged for `i >= j`, and the decrement below `j` propagates only
+//!   until absorbed by slack in `u_i^k`, so each check touches only the
+//!   coordinates that actually change. Equivalence is enforced by unit and
+//!   property tests.
 
 use crate::base_vector::BaseVector;
 use crate::bounds::{BoundsContext, BoundsWorkspace, HBounds};
@@ -128,44 +129,12 @@ pub fn construct_reference(
 /// Semantically identical to [`construct_reference`]; asymptotically the
 /// same worst case but typically far fewer coordinate updates.
 ///
-/// # Errors
-///
-/// As for [`construct_reference`].
-pub fn construct(
-    base: &BaseVector,
-    cfg: &KsConfig,
-    k: usize,
-    order: &[usize],
-) -> Result<(Vec<usize>, ConstructStats), MocheError> {
-    let mut ws = BoundsWorkspace::new();
-    construct_with(base, cfg, k, order, &mut ws)
-}
-
-/// [`construct`] with caller-owned scratch: every buffer (the Phase-1
-/// bounds, `d`, `ū` and the propagation staging area) lives in `ws` and is
-/// reused across calls, so steady-state construction performs **zero** heap
-/// allocations beyond the returned selection. This is the hot path the
-/// [`crate::engine::ExplainEngine`] and the [`crate::batch`] layer run on.
-///
-/// # Errors
-///
-/// As for [`construct_reference`].
-pub fn construct_with(
-    base: &BaseVector,
-    cfg: &KsConfig,
-    k: usize,
-    order: &[usize],
-    ws: &mut BoundsWorkspace,
-) -> Result<(Vec<usize>, ConstructStats), MocheError> {
-    let mut selected = Vec::new();
-    let stats = construct_into(base, cfg, k, order, ws, &mut selected)?;
-    Ok((selected, stats))
-}
-
-/// [`construct_with`] writing the selection into a caller-owned buffer
-/// (cleared first): together with the workspace this makes steady-state
-/// construction fully allocation-free — the
-/// [`crate::arena::ExplanationArena`] path of the engine.
+/// Every buffer (the Phase-1 bounds, `d`, `ū` and the propagation staging
+/// area) lives in `ws`, and the selection is written into `selected`
+/// (cleared first). Both are reused across calls, so steady-state
+/// construction is allocation-free: this is the hot path of
+/// [`crate::engine::ExplainEngine`] and its
+/// [`crate::arena::ExplanationArena`].
 ///
 /// On error the buffer holds the partial selection built so far.
 ///
@@ -267,6 +236,19 @@ pub fn construct_into(
 mod tests {
     use super::*;
     use crate::phase1::find_size;
+
+    /// [`construct_into`] with fresh scratch and selection buffers.
+    fn construct(
+        base: &BaseVector,
+        cfg: &KsConfig,
+        k: usize,
+        order: &[usize],
+    ) -> Result<(Vec<usize>, ConstructStats), MocheError> {
+        let mut selected = Vec::new();
+        let stats =
+            construct_into(base, cfg, k, order, &mut BoundsWorkspace::new(), &mut selected)?;
+        Ok((selected, stats))
+    }
 
     fn paper_setup() -> (BaseVector, KsConfig) {
         let r = vec![14.0, 14.0, 14.0, 14.0, 20.0, 20.0, 20.0, 20.0];
@@ -398,22 +380,7 @@ mod tests {
     }
 
     #[test]
-    fn construction_incomplete_error_for_wrong_k() {
-        // k = 0 cannot be grown to; k below the true size makes the bounds
-        // infeasible, which must surface as an error, not a panic.
-        let (base, cfg) = paper_setup();
-        let order = vec![0, 1, 2, 3];
-        match construct(&base, &cfg, 1, &order) {
-            Err(MocheError::ConstructionIncomplete { built, k }) => {
-                assert_eq!(k, 1);
-                assert_eq!(built, 0);
-            }
-            other => panic!("expected ConstructionIncomplete, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn construct_with_matches_construct_and_reference() {
+    fn reused_buffers_match_fresh_ones_and_reference() {
         let r: Vec<f64> = (0..200).map(|i| f64::from(i % 25)).collect();
         let t: Vec<f64> = (0..150).map(|i| f64::from(i % 10) + 10.0).collect();
         let base = BaseVector::build(&r, &t).unwrap();
@@ -421,25 +388,32 @@ mod tests {
         let ctx = BoundsContext::new(&base, &cfg);
         let k = find_size(&ctx, cfg.alpha()).unwrap().k;
         let mut ws = BoundsWorkspace::new();
+        let mut a = Vec::new();
         for seed in 0..5u64 {
             let order = crate::preference::PreferenceList::random(t.len(), seed);
-            let (a, stats_a) = construct_with(&base, &cfg, k, order.as_order(), &mut ws).unwrap();
+            let stats_a =
+                construct_into(&base, &cfg, k, order.as_order(), &mut ws, &mut a).unwrap();
             let (b, stats_b) = construct(&base, &cfg, k, order.as_order()).unwrap();
             let (c, _) = construct_reference(&base, &cfg, k, order.as_order()).unwrap();
             assert_eq!(a, b, "seed = {seed}");
             assert_eq!(a, c, "seed = {seed}");
-            assert_eq!(stats_a, stats_b, "workspace reuse must not change the search");
+            assert_eq!(stats_a, stats_b, "buffer reuse must not change the search");
         }
     }
 
     #[test]
-    fn construct_with_infeasible_k_errors() {
+    fn construction_incomplete_error_for_wrong_k() {
+        // k below the true size makes the bounds infeasible, which must
+        // surface as an error, not a panic, and leave the reused selection
+        // buffer holding the (empty) partial selection.
         let (base, cfg) = paper_setup();
         let mut ws = BoundsWorkspace::new();
-        match construct_with(&base, &cfg, 1, &[0, 1, 2, 3], &mut ws) {
+        let mut selected = vec![7];
+        match construct_into(&base, &cfg, 1, &[0, 1, 2, 3], &mut ws, &mut selected) {
             Err(MocheError::ConstructionIncomplete { built: 0, k: 1 }) => {}
             other => panic!("expected ConstructionIncomplete, got {other:?}"),
         }
+        assert!(selected.is_empty());
     }
 
     #[test]

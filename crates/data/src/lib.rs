@@ -30,6 +30,6 @@ pub mod rng;
 pub mod sliding;
 
 pub use covid::{CovidCase, CovidDataset, CovidParams, HealthAuthority};
-pub use drift::{failing_kifer_pair, kifer_pair, DriftPair};
+pub use drift::{failing_kifer_pair, DriftPair};
 pub use nab::{generate_all, generate_family, NabFamily, NabSeries};
 pub use sliding::{failed_windows, paper_failed_tests, sample_failed, FailedTest};
