@@ -93,10 +93,11 @@ pub enum MocheError {
         /// The smallest acceptable window size.
         min: usize,
     },
-    /// The samples are too large for the streaming KS treap's exact `i32`
-    /// weights. `moche_stream::MonitorState` needs `w <= i32::MAX` (its
-    /// `±1` prefix sums reach `w`); `moche_stream::IncrementalKs` needs
-    /// `n·m <= i32::MAX` (its `+m`/`-n` prefix sums reach `n·m`).
+    /// The samples are too large for the streaming KS tests' 32-bit size
+    /// bound. `moche_stream::IncrementalKs` needs `n·m <= i32::MAX` (its
+    /// treap's `+m`/`-n` prefix sums reach `n·m`);
+    /// `moche_stream::MonitorState` caps its window `w` at `i32::MAX`, the
+    /// same bound on one side of a sample pair.
     SamplesTooLarge {
         /// Reference sample size (the window size for a monitor).
         n: usize,
@@ -210,8 +211,8 @@ impl fmt::Display for MocheError {
             }
             MocheError::SamplesTooLarge { n, m } => write!(
                 f,
-                "samples of {n} and {m} observations overflow the streaming KS test's \
-                 exact 32-bit weights"
+                "samples of {n} and {m} observations exceed the streaming KS tests' \
+                 32-bit size bound"
             ),
             MocheError::ConstructionIncomplete { built, k } => write!(
                 f,

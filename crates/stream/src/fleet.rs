@@ -6,7 +6,8 @@
 //! fleet scale that second half is the expensive one, and it is idle
 //! except while answering an alarm — so the fleet keeps exactly one
 //! [`MonitorScratch`] per shard and slab-stores only the lean per-series
-//! [`MonitorState`]s (`O(w)` each: windows + one KS treap + counters).
+//! [`MonitorState`]s (`O(w)` each: the window ring, both windows sorted,
+//! and counters).
 //!
 //! ## Sharding
 //!
@@ -463,7 +464,7 @@ impl FleetShard {
                 self.capture_pool_return(capture);
                 FleetPush::Warming
             }
-            MonitorEvent::Stable { .. } => {
+            MonitorEvent::Stable => {
                 self.capture_pool_return(capture);
                 FleetPush::Stable
             }
@@ -962,7 +963,7 @@ mod tests {
                         assert_eq!(outcome.statistic.to_bits(), o2.statistic.to_bits());
                     }
                     (FleetPush::Warming, MonitorEvent::Warming { .. })
-                    | (FleetPush::Stable, MonitorEvent::Stable { .. }) => {}
+                    | (FleetPush::Stable, MonitorEvent::Stable) => {}
                     (a, b) => panic!("divergence at i = {i}, id = {id}: {a:?} vs {b:?}"),
                 }
             }

@@ -3,7 +3,8 @@
 //! Streaming substrate for the MOCHE reproduction: an incremental
 //! two-sample Kolmogorov-Smirnov test (treap-based, after dos Reis et al.,
 //! KDD 2016 — reference \[17\] of the paper) and a push-based
-//! [`DriftMonitor`] that pairs it with MOCHE explanations.
+//! [`DriftMonitor`] over paired sliding windows that answers each alarm
+//! with a MOCHE explanation.
 //!
 //! The paper's experiments run the KS test over paired sliding windows
 //! (Section 6.1.1); this crate makes that deployment shape first-class:
@@ -12,8 +13,10 @@
 //!   absolute prefix sum of weighted elements;
 //! * [`incremental`] — weights `+m` / `-n` turn that prefix sum into
 //!   `n·m·D(R, T)`, giving `O(log N)` KS updates for samples of any sizes;
-//! * [`monitor`] — paired sliding windows of equal size `w` over one treap
-//!   (weights `±1`), `O(log w)` per observation, MOCHE explanations on
+//! * [`monitor`] — paired sliding windows of equal size `w`, kept as one
+//!   arrival-order ring plus both windows sorted; the sorted windows are
+//!   checked only when a push could cross the rejection threshold, so a
+//!   push is `O(1)` until then and a check `O(w)`; MOCHE explanations on
 //!   every drift alarm.
 
 #![forbid(unsafe_code)]
@@ -24,6 +27,7 @@ pub mod incremental;
 pub mod monitor;
 pub mod snapshot;
 pub mod treap;
+mod windows;
 
 pub use fleet::{
     shard_of, ExplainedAlarm, FleetConfig, FleetPush, FleetShard, FleetShardSnapshot, FleetStats,

@@ -8,14 +8,17 @@
 //! alarm, and the monitor answers *which points caused it* with the most
 //! comprehensible counterfactual explanation.
 //!
-//! Each series keeps one KS treap over both windows: a slide is three
-//! `O(log w)` treap updates and the decision is `O(1)`; warm-up only
-//! appends to the windows, and the treap is loaded once they are full. An
-//! alarm copies the window pair, radix-sorts the reference into a
-//! [`ReferenceIndex`] and explains against it — `O(w)` for the sorts and
-//! the splice, `O(w log w)` for the Spectral-Residual FFT, plus the
-//! explanation construction itself, with **zero** heap allocations once
-//! warm (gated by `tests/alloc_count.rs`).
+//! Each series keeps its windows as one arrival-order ring plus both
+//! windows sorted. A push moves the KS gap `max |#{r <= x} - #{t <= x}|`
+//! by at most 2, so the sorted windows are checked only when a push could
+//! cross the rejection threshold: a push that cannot alarm appends to the
+//! ring in `O(1)`, and a check updates both sorted windows and reads the
+//! exact statistic in `O(w)`. Warm-up only appends, and the windows are
+//! sorted once they are full. An alarm copies the window pair,
+//! radix-sorts the reference into a [`ReferenceIndex`] and explains
+//! against it — `O(w)` for the sorts and the splice, `O(w log w)` for the
+//! Spectral-Residual FFT, plus the explanation construction itself, with
+//! **zero** heap allocations once warm (gated by `tests/alloc_count.rs`).
 //! Bad input never panics the monitor: route untrusted streams through
 //! [`DriftMonitor::try_push`].
 //!
@@ -26,9 +29,9 @@
 //! multi-series deployment ([`crate::MonitorFleet`]) can pool the
 //! expensive one:
 //!
-//! * [`MonitorState`] — the per-series sliding windows, the KS treap, and
-//!   counters. This is the part that *must* exist once per series (`O(w)`
-//!   memory each).
+//! * [`MonitorState`] — the per-series sliding windows (ring and sorted
+//!   vectors) and counters. This is the part that *must* exist once per
+//!   series (`O(w)` memory each).
 //! * [`MonitorScratch`] — the explain engine, arena, reference index,
 //!   Spectral-Residual FFT planes, and preference buffers. This part is
 //!   only touched while answering an alarm, so one scratch can serve
@@ -41,13 +44,12 @@
 //! [`WindowCapture`] of the window pair, through
 //! `MonitorScratch::answer_capture`.
 
-use crate::treap::WeightedTreap;
+use crate::windows::{self, SortedWindows, Verdict};
 use moche_core::{
     ExplainEngine, Explanation, ExplanationArena, KsConfig, KsOutcome, MocheError, PreferenceList,
     ReferenceIndex, SizeSearch,
 };
 use moche_sigproc::{SaliencyScratch, SpectralResidual};
-use std::collections::VecDeque;
 
 /// Monitor configuration.
 #[derive(Debug, Clone, Copy)]
@@ -118,14 +120,13 @@ pub enum MonitorEvent {
         /// Observations needed before testing starts.
         needed: usize,
     },
-    /// Windows full; the KS test passes.
-    Stable {
-        /// The passing outcome.
-        outcome: KsOutcome,
-    },
+    /// Windows full; the KS test passes. Carries no statistic: a push that
+    /// provably cannot alarm is decided without computing one. Ask
+    /// [`DriftMonitor::outcome_current`] for the exact outcome.
+    Stable,
     /// The KS test failed: distribution drift.
     Drift {
-        /// The failing outcome.
+        /// The failing outcome, exact.
         outcome: KsOutcome,
         /// The most comprehensible counterfactual explanation of the
         /// failure, when enabled and computable.
@@ -322,12 +323,9 @@ enum AlarmWork<'a> {
     Defer(&'a mut WindowCapture),
 }
 
-/// Seed of the KS treap's node priorities. The treap mixes it with a
-/// per-process random key, and its shape never affects a result.
-pub(crate) const TREAP_SEED: u64 = 0x1C5B;
-
-/// The per-series half of a drift monitor: sliding windows, the KS treap,
-/// and counters — everything that must exist once per monitored series.
+/// The per-series half of a drift monitor: the sliding windows (an
+/// arrival-order ring plus both windows sorted) and counters — everything
+/// that must exist once per monitored series.
 /// All alarm-answering buffers live in a separate [`MonitorScratch`]
 /// passed into the methods, so a fleet worker can own one scratch and
 /// thousands of states.
@@ -335,20 +333,17 @@ pub(crate) const TREAP_SEED: u64 = 0x1C5B;
 pub struct MonitorState {
     cfg: MonitorConfig,
     ks_cfg: KsConfig,
-    /// One treap over both windows: each reference observation weighs `+1`
-    /// and each test observation `-1`, so the largest absolute prefix sum
-    /// at the root is `w·D` (see [`outcome`](Self::outcome)). Empty until
-    /// both windows are full (see [`load_treap`](Self::load_treap)).
-    ks: WeightedTreap,
-    ref_window: VecDeque<f64>,
-    test_window: VecDeque<f64>,
+    /// Both windows, checked only when a push could cross the rejection
+    /// threshold; see the `windows` module.
+    windows: SortedWindows,
     pushes: u64,
     alarms: u64,
     degraded_preferences: u64,
 }
 
 impl MonitorState {
-    /// Creates the per-series state.
+    /// Creates the per-series state. Nothing sized by the window is
+    /// reserved until the windows first fill.
     ///
     /// # Errors
     ///
@@ -356,7 +351,8 @@ impl MonitorState {
     /// and [`MocheError::WindowTooSmall`] if `window < 2` (paired sliding
     /// windows need at least two points each) or either Spectral-Residual
     /// window is zero, and [`MocheError::SamplesTooLarge`] if `window`
-    /// exceeds `i32::MAX` (the treap's exact `i32` prefix sums reach `w`).
+    /// exceeds `i32::MAX`, the size bound the streaming KS tests share
+    /// (one side of [`crate::IncrementalKs`] is bounded by it too).
     pub fn new(cfg: MonitorConfig) -> Result<Self, MocheError> {
         if cfg.window < 2 {
             return Err(MocheError::WindowTooSmall { window: cfg.window, min: 2 });
@@ -374,9 +370,7 @@ impl MonitorState {
         Ok(Self {
             cfg,
             ks_cfg,
-            ks: WeightedTreap::new(TREAP_SEED),
-            ref_window: VecDeque::with_capacity(cfg.window),
-            test_window: VecDeque::with_capacity(cfg.window),
+            windows: SortedWindows::new(cfg.window, windows::reject_at(&ks_cfg, cfg.window)),
             pushes: 0,
             alarms: 0,
             degraded_preferences: 0,
@@ -412,12 +406,12 @@ impl MonitorState {
 
     /// The current reference window contents, oldest first.
     pub fn reference_window(&self) -> Vec<f64> {
-        self.ref_window.iter().copied().collect()
+        self.windows.reference().copied().collect()
     }
 
     /// The current test window contents, oldest first.
     pub fn test_window(&self) -> Vec<f64> {
-        self.test_window.iter().copied().collect()
+        self.windows.test().copied().collect()
     }
 
     /// Feeds one observation, answering alarms inline through `scratch` —
@@ -440,7 +434,8 @@ impl MonitorState {
     /// allocation when warm) and the event carries no explanation or size.
     /// The caller explains later from the capture — the fleet's
     /// alarm-queue path, where a slow explain must never block the next
-    /// push.
+    /// push. The push's KS check also sorts in `capture`'s buffers, so
+    /// after a push that does not alarm their contents are unspecified.
     ///
     /// # Errors
     ///
@@ -456,55 +451,28 @@ impl MonitorState {
     fn try_push_impl(
         &mut self,
         value: f64,
-        work: AlarmWork<'_>,
+        mut work: AlarmWork<'_>,
     ) -> Result<MonitorEvent, MocheError> {
-        let w = self.cfg.window;
         if !value.is_finite() {
             return Err(MocheError::NonFiniteObservation { accepted: self.pushes, value });
         }
         self.pushes += 1;
-
-        if self.ref_window.len() < w {
-            self.ref_window.push_back(value);
-            return Ok(MonitorEvent::Warming {
-                seen: self.ref_window.len() + self.test_window.len(),
-                needed: 2 * w,
-            });
-        }
-        if self.test_window.len() < w {
-            self.test_window.push_back(value);
-            if self.test_window.len() < w {
+        let sort_scratch = match &mut work {
+            AlarmWork::Inline(scratch) => &mut scratch.sort_scratch,
+            AlarmWork::Defer(capture) => &mut capture.reference,
+        };
+        match self.windows.push(value, sort_scratch) {
+            Verdict::Warming => {
                 return Ok(MonitorEvent::Warming {
-                    seen: self.ref_window.len() + self.test_window.len(),
-                    needed: 2 * w,
-                });
+                    seen: self.windows.len(),
+                    needed: 2 * self.cfg.window,
+                })
             }
-            // Windows just became full: load the treap, then fall through
-            // to the decision.
-            self.load_treap();
-        } else {
-            // Steady state: the oldest reference point leaves, the oldest
-            // test point is promoted to the reference window (its weight
-            // flips from -1 to +1), and the new observation enters the
-            // test window — three O(log w) treap updates.
-            let promoted =
-                // lint:allow(panic): steady state means both windows are at
-                // capacity w >= 1 — an empty pop is a state-machine bug
-                self.test_window.pop_front().expect("test window full");
-            // lint:allow(panic): same steady-state invariant
-            let oldest = self.ref_window.pop_front().expect("ref window full");
-            self.ks.update(oldest, -1, -1);
-            self.ks.update(promoted, 2, 0);
-            self.ks.update(value, -1, 1);
-            self.ref_window.push_back(promoted);
-            self.test_window.push_back(value);
+            Verdict::Passes => return Ok(MonitorEvent::Stable),
+            Verdict::Rejects => {}
         }
 
-        let outcome = self.outcome();
-        if !outcome.rejected {
-            return Ok(MonitorEvent::Stable { outcome });
-        }
-
+        let outcome = self.outcome(self.windows.gap());
         self.alarms += 1;
         let (explanation, size) = match work {
             AlarmWork::Inline(scratch) if self.cfg.answers_alarms() => {
@@ -523,35 +491,18 @@ impl MonitorState {
             }
         };
         if self.cfg.reset_on_drift {
-            self.ref_window.clear();
-            self.test_window.clear();
-            self.ks.clear();
+            self.windows.clear();
         }
         Ok(MonitorEvent::Drift { outcome, explanation, size })
     }
 
-    /// Loads both full windows into the empty treap. The treap stays empty
-    /// while the windows warm up and is filled here in one pass, while the
-    /// series' windows are hot in cache: a fleet warms its series
-    /// round-robin, and updating thousands of cold treaps one push at a
-    /// time made a fleet's warm-up about 1.6× slower.
-    fn load_treap(&mut self) {
-        for &value in &self.ref_window {
-            self.ks.update(value, 1, 1);
-        }
-        for &value in &self.test_window {
-            self.ks.update(value, -1, 1);
-        }
-    }
-
-    /// The KS decision over the full window pair. With `n = m = w` the
-    /// statistic is `max |#{r <= x} - #{t <= x}| / w`, and the treap's
-    /// `±1` weights make that numerator its largest absolute prefix sum.
+    /// The KS outcome of a full window pair whose gap
+    /// `max |#{r <= x} - #{t <= x}|` is `gap`: the statistic is `gap / w`.
     /// Exact integer arithmetic up to the one division, so the decision
     /// depends only on the window multisets.
-    fn outcome(&self) -> KsOutcome {
+    fn outcome(&self, gap: usize) -> KsOutcome {
         let w = self.cfg.window;
-        let statistic = self.ks.max_abs_prefix() as f64 / w as f64;
+        let statistic = gap as f64 / w as f64;
         KsOutcome {
             statistic,
             threshold: self.ks_cfg.threshold(w, w),
@@ -561,13 +512,20 @@ impl MonitorState {
         }
     }
 
+    /// The exact KS outcome of the current window pair through `scratch` —
+    /// see [`DriftMonitor::outcome_current`].
+    pub fn outcome_in(&mut self, scratch: &mut MonitorScratch) -> Option<KsOutcome> {
+        let gap = self.windows.settle(&mut scratch.sort_scratch)?;
+        Some(self.outcome(gap))
+    }
+
     /// Explains the current window pair through `scratch` — see
     /// [`DriftMonitor::explain_current`] for the full contract.
     pub fn explain_in(&mut self, scratch: &mut MonitorScratch) -> Option<Explanation> {
-        if !self.currently_rejected() {
-            // Warming or passing windows have nothing to explain; the
-            // decision is O(1) at the treap root, so an on-demand poll
-            // never pays for SR scoring or the index sort to learn that.
+        if !self.windows.rejects() {
+            // Warming or passing windows have nothing to explain; the last
+            // exact decision is current, so an on-demand poll never pays
+            // for SR scoring or the index sort to learn that.
             return None;
         }
         let sr = self.cfg.spectral_residual();
@@ -579,24 +537,18 @@ impl MonitorState {
 
     /// Phase 1 only through `scratch` — see [`DriftMonitor::size_current`].
     pub fn size_in(&mut self, scratch: &mut MonitorScratch) -> Option<SizeSearch> {
-        if !self.currently_rejected() {
+        if !self.windows.rejects() {
             return None; // see explain_in
         }
         self.with_capture(scratch, MonitorScratch::size_capture)
     }
 
-    /// Whether the windows are full and the monitor's KS decision — the
-    /// same one that raises alarms — rejects them. `O(1)`.
-    fn currently_rejected(&self) -> bool {
-        self.test_window.len() == self.cfg.window && self.outcome().rejected
-    }
-
     /// Copies both windows into `capture`, oldest first.
     fn capture_windows(&self, capture: &mut WindowCapture) {
         capture.reference.clear();
-        capture.reference.extend(&self.ref_window);
+        capture.reference.extend(self.windows.reference());
         capture.test.clear();
-        capture.test.extend(&self.test_window);
+        capture.test.extend(self.windows.test());
     }
 
     /// Runs `answer` on a capture of the current windows, taken into the
@@ -651,11 +603,7 @@ impl MonitorState {
             sr_score_window: snapshot.sr_score_window,
         };
         let mut state = Self::new(cfg)?;
-        state.ref_window.extend(&snapshot.reference);
-        state.test_window.extend(&snapshot.test);
-        if state.test_window.len() == state.cfg.window {
-            state.load_treap();
-        }
+        state.windows.fill(&snapshot.reference, &snapshot.test);
         state.pushes = snapshot.pushes;
         state.alarms = snapshot.alarms;
         state.degraded_preferences = snapshot.degraded_preferences;
@@ -811,9 +759,18 @@ impl DriftMonitor {
         self.state.size_in(&mut self.scratch)
     }
 
+    /// The exact KS outcome of the current window pair, or `None` while
+    /// warming. [`MonitorEvent::Stable`] carries no statistic, because most
+    /// passing pushes are decided without one; this computes it on demand,
+    /// in `O(w)`: it brings the sorted windows up to date and walks them
+    /// once.
+    pub fn outcome_current(&mut self) -> Option<KsOutcome> {
+        self.state.outcome_in(&mut self.scratch)
+    }
+
     /// Captures the monitor's restorable state: configuration, both
     /// window contents, and the alarm/degradation counters. Derived
-    /// structures (the KS treap, engine scratch) are rebuilt on
+    /// structures (the sorted windows, engine scratch) are rebuilt on
     /// [`restore`](Self::restore), so the
     /// snapshot stays small and format-stable. See
     /// [`crate::snapshot::MonitorSnapshot`] for the serialized form and
@@ -822,13 +779,15 @@ impl DriftMonitor {
         self.state.snapshot()
     }
 
-    /// Rebuilds a monitor from a snapshot. The window values are
-    /// re-inserted into the same KS treap `try_push` maintains, so the
-    /// restored monitor's future behaviour is
+    /// Rebuilds a monitor from a snapshot. The window values refill the
+    /// ring and are sorted into the same windows `try_push` maintains, so
+    /// the restored monitor's future behaviour is
     /// observably identical to the captured one's — including
     /// byte-identical alarm explanations (the KS decision is exact
     /// integer arithmetic over the window multisets, independent of
-    /// internal insertion history; pinned by `tests/snapshot_roundtrip.rs`).
+    /// when the sorted windows were last checked; pinned by
+    /// `tests/snapshot_roundtrip.rs`). Nothing sized by the snapshot's
+    /// window is reserved beyond the values it holds.
     ///
     /// # Errors
     ///
@@ -861,8 +820,8 @@ mod tests {
                     assert!(seen <= needed);
                     assert!(i < 100, "warming past 2w at i = {i}");
                 }
-                MonitorEvent::Stable { outcome } => {
-                    assert!(outcome.passes());
+                MonitorEvent::Stable => {
+                    assert!(mon.outcome_current().expect("windows are full").passes());
                     stable += 1;
                 }
                 MonitorEvent::Drift { .. } => {
@@ -998,9 +957,9 @@ mod tests {
     }
 
     #[test]
-    fn windows_beyond_the_treaps_i32_range_error_before_allocating() {
-        // The KS treap's `i32` prefix sums reach `w`; a larger window is
-        // refused before its two window buffers are reserved.
+    fn windows_beyond_the_i32_range_error_before_allocating() {
+        // Windows are bounded by `i32::MAX`, like one side of an
+        // `IncrementalKs`; a larger window is refused up front.
         let too_large = i32::MAX as usize + 1;
         match MonitorState::new(MonitorConfig::new(too_large, 0.05)) {
             Err(MocheError::SamplesTooLarge { n, m }) => assert_eq!((n, m), (too_large, too_large)),
@@ -1098,7 +1057,7 @@ mod tests {
                     alarms += 1;
                 }
                 (MonitorEvent::Warming { .. }, MonitorEvent::Warming { .. })
-                | (MonitorEvent::Stable { .. }, MonitorEvent::Stable { .. }) => {}
+                | (MonitorEvent::Stable, MonitorEvent::Stable) => {}
                 (a, b) => panic!("event divergence at i = {i}: {a:?} vs {b:?}"),
             }
         }
@@ -1223,7 +1182,7 @@ mod tests {
         for i in 0..40 {
             match mon.push(if i % 2 == 0 { 1.5e308 } else { 1.2e308 }) {
                 MonitorEvent::Drift { .. } => panic!("identical distributions must not alarm"),
-                MonitorEvent::Stable { .. } | MonitorEvent::Warming { .. } => {}
+                MonitorEvent::Stable | MonitorEvent::Warming { .. } => {}
             }
         }
         for _ in 0..5 {
@@ -1233,60 +1192,76 @@ mod tests {
     }
 
     #[test]
-    fn ks_treap_stays_in_sync_with_the_windows() {
-        // Slides, alarms, rejected pushes and resets: after every accepted
-        // observation the treap must hold exactly the windows' multisets
-        // (+1 per reference value, -1 per test value) once both are full,
-        // nothing while they warm up, and a full pair's statistic must
-        // equal the batch statistic. Signed zeros tie with each other, as
-        // they do in the batch ECDFs.
+    fn sorted_windows_stay_in_sync_with_the_ring() {
+        // Slides, skipped checks, alarms, rejected pushes, on-demand
+        // outcomes and resets: after every check the sorted windows must
+        // hold exactly the windows' multisets (signed zeros normalized, as
+        // they tie in the batch ECDFs) once both are full, and nothing
+        // while they warm up. A twin polled after every push must read the
+        // batch statistic for every full pair, and raise the same events.
+        let w = 15;
         for reset in [true, false] {
-            let mut cfg = MonitorConfig::new(15, 0.05);
+            let mut cfg = MonitorConfig::new(w, 0.05);
             cfg.reset_on_drift = reset;
             let mut mon = DriftMonitor::new(cfg).unwrap();
+            let mut polled = DriftMonitor::new(cfg).unwrap();
+            let (mut checks, mut skips) = (0, 0);
             for i in 0..240u32 {
                 if i % 7 == 0 {
                     assert!(mon.try_push(f64::NAN).is_err());
+                    assert!(polled.try_push(f64::NAN).is_err());
                 }
                 let x = match i % 13 {
                     0 => -0.0,
                     1 => 0.0,
                     r => f64::from(r % 11) + if (i / 60) % 2 == 0 { 0.0 } else { 25.0 },
                 };
-                let outcome = match mon.push(x) {
-                    MonitorEvent::Drift { outcome, explanation, .. } => {
-                        if let Some(e) = explanation {
-                            mon.recycle(e);
-                        }
-                        Some(outcome)
-                    }
-                    MonitorEvent::Stable { outcome } => Some(outcome),
-                    MonitorEvent::Warming { .. } => None,
+                let event = mon.push(x);
+                let twin = polled.push(x);
+                assert_eq!(
+                    std::mem::discriminant(&event),
+                    std::mem::discriminant(&twin),
+                    "i = {i}, reset = {reset}"
+                );
+                let outcome = match twin {
+                    MonitorEvent::Drift { outcome, .. } => Some(outcome),
+                    MonitorEvent::Stable | MonitorEvent::Warming { .. } => polled.outcome_current(),
                 };
-                let mut expected: Vec<(f64, i64, u32)> = Vec::new();
                 let (r, t) = (mon.reference_window(), mon.test_window());
-                let mut all: Vec<(f64, i64)> = Vec::new();
-                if t.len() == 15 {
-                    all.extend(r.iter().map(|&v| (v, 1)));
-                    all.extend(t.iter().map(|&v| (v, -1)));
-                }
-                all.sort_by(|a, b| a.0.total_cmp(&b.0));
-                for (v, weight) in all {
-                    match expected.last_mut() {
-                        Some(last) if last.0 == v => {
-                            last.1 += weight;
-                            last.2 += 1;
-                        }
-                        _ => expected.push((v + 0.0, weight, 1)),
-                    }
-                }
-                assert_eq!(mon.state.ks.to_sorted_vec(), expected, "i = {i}, reset = {reset}");
                 // A reset right after an alarm leaves nothing to compare.
-                if let (Some(outcome), false) = (outcome, r.is_empty()) {
+                if t.len() == w {
+                    let outcome = outcome.expect("full windows have an outcome");
                     let batch = moche_core::ks_statistic(&r, &t).unwrap();
                     assert!((outcome.statistic - batch).abs() < 1e-12, "i = {i}");
+                    if let MonitorEvent::Drift { outcome: alarm, .. } = event {
+                        assert_eq!(alarm, outcome, "i = {i}");
+                    }
+                }
+                // Every third push asks `mon` for its outcome too, which
+                // checks a pending backlog; the others leave it pending.
+                if i % 3 == 0 {
+                    mon.outcome_current();
+                }
+                let windows = &mon.state.windows;
+                if windows.pending() > 0 {
+                    skips += 1;
+                    continue;
+                }
+                let expected = |values: &[f64]| {
+                    let mut v: Vec<f64> = values.iter().map(|&x| x + 0.0).collect();
+                    v.sort_by(f64::total_cmp);
+                    v
+                };
+                let (sorted_r, sorted_t) = windows.sorted();
+                if t.len() == w {
+                    checks += 1;
+                    assert_eq!(sorted_r, expected(&r), "i = {i}, reset = {reset}");
+                    assert_eq!(sorted_t, expected(&t), "i = {i}, reset = {reset}");
+                } else {
+                    assert!(sorted_r.is_empty() && sorted_t.is_empty(), "i = {i}");
                 }
             }
+            assert!(checks > 20 && skips > 20, "checks {checks}, skips {skips}, reset = {reset}");
         }
     }
 
@@ -1323,7 +1298,7 @@ mod tests {
                         return;
                     }
                 }
-                MonitorEvent::Stable { .. } => {
+                MonitorEvent::Stable => {
                     assert!(mon.explain_current().is_none(), "passing windows have no explanation");
                 }
                 MonitorEvent::Warming { .. } => {}
@@ -1348,24 +1323,36 @@ mod tests {
 
     #[test]
     fn monitor_statistic_matches_batch() {
+        // `polled` reads the exact outcome after every push; `plain` is
+        // never polled, so its pushes skip checks, and must still raise
+        // the same events.
         let w = 25;
         let mut cfg = MonitorConfig::new(w, 0.001);
         cfg.reset_on_drift = false;
-        let mut mon = DriftMonitor::new(cfg).unwrap();
+        let mut polled = DriftMonitor::new(cfg).unwrap();
+        let mut plain = DriftMonitor::new(cfg).unwrap();
         let series: Vec<f64> = (0..120).map(|i| ((i * 37) % 19) as f64 * 0.7).collect();
         for (i, &x) in series.iter().enumerate() {
-            let event = mon.push(x);
+            let event = polled.push(x);
+            assert_eq!(
+                std::mem::discriminant(&event),
+                std::mem::discriminant(&plain.push(x)),
+                "i = {i}"
+            );
             if i + 1 >= 2 * w {
-                let stat = match event {
-                    MonitorEvent::Stable { outcome } | MonitorEvent::Drift { outcome, .. } => {
-                        outcome.statistic
-                    }
+                let outcome = polled.outcome_current().expect("past warm-up");
+                match event {
+                    MonitorEvent::Drift { outcome: alarm, .. } => assert_eq!(alarm, outcome),
+                    MonitorEvent::Stable => assert!(outcome.passes(), "i = {i}"),
                     MonitorEvent::Warming { .. } => panic!("past warm-up"),
-                };
+                }
+                let stat = outcome.statistic;
                 let lo = i + 1 - 2 * w;
                 let batch =
                     moche_core::ks_statistic(&series[lo..lo + w], &series[lo + w..i + 1]).unwrap();
                 assert!((stat - batch).abs() < 1e-12, "i = {i}: {stat} vs {batch}");
+            } else {
+                assert!(polled.outcome_current().is_none(), "warming at i = {i}");
             }
         }
     }

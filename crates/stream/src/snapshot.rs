@@ -6,21 +6,22 @@
 //! undetected. A [`MonitorSnapshot`] captures everything a monitor needs
 //! to continue *exactly* where it stopped: the configuration, both window
 //! contents (oldest first), and the alarm/degradation counters. Derived
-//! structures are deliberately **not** serialized — the KS treap is
-//! rebuilt from the window values on restore — which keeps the format
+//! structures are deliberately **not** serialized — the sorted windows
+//! are rebuilt from the window values on restore — which keeps the format
 //! small and forward-compatible with internal data-structure changes.
 //!
 //! ## The byte-identity guarantee
 //!
 //! A restored monitor emits **byte-identical** alarms to one that was
 //! never interrupted (pinned by `tests/snapshot_roundtrip.rs`). This is a
-//! theorem about the implementation, not luck: the incremental KS decision
-//! is computed in *exact integer arithmetic* (`max |prefix|` over weighted
-//! ranks, divided by `w` once at the end), so it depends only on the
-//! window **multisets**, never on treap shape, insertion history, or
-//! internal ID assignment; Spectral-Residual preference scores depend only
+//! theorem about the implementation, not luck: the KS decision is
+//! computed in *exact integer arithmetic* (`max |#{r <= x} - #{t <= x}|`
+//! over the sorted windows, divided by `w` once at the end), so it depends
+//! only on the window **multisets**, never on when the sorted windows were
+//! last checked; a push skips its check only when it provably cannot
+//! reject; Spectral-Residual preference scores depend only
 //! on the test window **values**; and the explanation construction is a
-//! deterministic function of windows, preference, and `α`. Re-inserting
+//! deterministic function of windows, preference, and `α`. Re-sorting
 //! the window values therefore reconstructs an observably equivalent
 //! monitor.
 //!

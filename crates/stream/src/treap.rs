@@ -1,8 +1,10 @@
 //! An order-augmented treap over weighted real keys — the data structure
-//! behind the incremental KS test (after dos Reis et al., *Fast
-//! unsupervised online drift detection using incremental
-//! Kolmogorov-Smirnov test*, KDD 2016, which the MOCHE paper cites as the
-//! deployment context for failed-KS-test explanations).
+//! behind [`crate::IncrementalKs`], the incremental KS test for samples of
+//! any sizes (after dos Reis et al., *Fast unsupervised online drift
+//! detection using incremental Kolmogorov-Smirnov test*, KDD 2016, which
+//! the MOCHE paper cites as the deployment context for failed-KS-test
+//! explanations). The drift monitor does not use it: its paired windows
+//! of equal size are kept sorted and checked lazily instead.
 //!
 //! Each **distinct value** is one node carrying the *aggregated* integer
 //! weight of every observation at that value (ties must collapse into one
@@ -31,10 +33,9 @@
 //! A node is 40 bytes: the `f64` key, two `u32` child indices into one
 //! arena `Vec`, and six 32-bit fields — the `i32` weight, the `u32`
 //! element count and priority, and the `i32` subtree sum and prefix
-//! extremes. Weights and aggregates are exact `i32`s: callers bound them
-//! (the monitor's `±1` weights by its window, [`crate::IncrementalKs`]'s
-//! `+m`/`-n` weights by `n·m`) and reject larger samples with a typed
-//! error. Priorities come from a SplitMix64 stream whose seed is mixed
+//! extremes. Weights and aggregates are exact `i32`s: the caller bounds
+//! them ([`crate::IncrementalKs`]'s `+m`/`-n` weights by `n·m`) and
+//! rejects larger samples with a typed error. Priorities come from a SplitMix64 stream whose seed is mixed
 //! with a per-process random key, so a client that knows the seed a
 //! caller passes still cannot order its values into a degenerate path.
 
@@ -402,15 +403,20 @@ mod tests {
         deepest
     }
 
+    /// The seed [`crate::IncrementalKs`] hands its treap. The treap mixes
+    /// it with a per-process random key, and its shape never affects a
+    /// result.
+    const TREAP_SEED: u64 = 0x1C5B;
+
     #[test]
     fn values_ordered_by_the_seeds_priorities_keep_the_depth_logarithmic() {
-        // A client that knows the monitor's seed can replay the SplitMix64
+        // A client that knows a caller's seed can replay the SplitMix64
         // stream a treap seeded with it alone would draw, and send the
         // i-th new value with the rank of the i-th priority. Key order
         // then equals priority order, which turns an unkeyed treap into a
         // single path of depth n.
         let n = 4096usize;
-        let mut state = crate::monitor::TREAP_SEED | 1;
+        let mut state = TREAP_SEED | 1;
         let priorities: Vec<u64> = (0..n)
             .map(|_| {
                 state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
@@ -426,7 +432,7 @@ mod tests {
         for (r, &i) in by_priority.iter().enumerate() {
             rank[i] = r;
         }
-        let mut t = WeightedTreap::new(crate::monitor::TREAP_SEED);
+        let mut t = WeightedTreap::new(TREAP_SEED);
         for &r in &rank {
             t.update(r as f64, 1, 1);
         }

@@ -2,8 +2,8 @@
 //!
 //! Mirrors `crates/core/tests/alloc_count.rs`: a counting global allocator
 //! measures the *marginal* allocation cost of the steady state — two runs
-//! differing only in length pay the identical warm-up (treap arenas, FFT
-//! planes, engine scratch), so the difference is the true per-cycle cost,
+//! differing only in length pay the identical warm-up (window ring, sorted
+//! windows and their sort scratch, FFT planes, engine scratch), so the difference is the true per-cycle cost,
 //! which must be exactly zero once every buffer has grown to its working
 //! set.
 //!
@@ -56,7 +56,7 @@ const CYCLE: usize = 4 * W;
 
 /// The observation at stream position `i`: a periodic base signal plus a
 /// level shift toggling every half cycle. Deterministic, so every cycle
-/// replays the same values and the treap arenas reach a fixed working set.
+/// replays the same values and every buffer reaches a fixed working set.
 fn observation(i: usize) -> f64 {
     let base = ((i * 13) % 11) as f64;
     if (i / (CYCLE / 2)).is_multiple_of(2) {
@@ -78,7 +78,7 @@ fn run_cycles(mon: &mut DriftMonitor, start: &mut usize, cycles: usize) -> usize
                 alarms += 1;
             }
             MonitorEvent::Drift { .. } => alarms += 1,
-            MonitorEvent::Stable { .. } | MonitorEvent::Warming { .. } => {}
+            MonitorEvent::Stable | MonitorEvent::Warming { .. } => {}
         }
         *start += 1;
     }
@@ -100,7 +100,7 @@ fn warm_explain_alarms_allocate_nothing() {
     cfg.reset_on_drift = false;
     let mut mon = DriftMonitor::new(cfg).unwrap();
     let mut at = 0usize;
-    // Warm-up: enough cycles for every arena (KS treap, reference index,
+    // Warm-up: enough cycles for every buffer (window ring, reference index,
     // SR planes, engine workspace, output arena) to hit its high-water
     // mark across both shift directions.
     let warm_alarms = run_cycles(&mut mon, &mut at, 3);
@@ -148,7 +148,7 @@ fn warm_alarms_with_checkpointing_configured_allocate_nothing() {
                 alarms += 1;
             }
             MonitorEvent::Drift { .. } => alarms += 1,
-            MonitorEvent::Stable { .. } | MonitorEvent::Warming { .. } => {}
+            MonitorEvent::Stable | MonitorEvent::Warming { .. } => {}
         }
         if mon.pushes().is_multiple_of(every) {
             mon.checkpoint(&path).expect("cadence checkpoint");

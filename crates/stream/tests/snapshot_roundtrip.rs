@@ -11,8 +11,15 @@ use proptest::prelude::*;
 
 /// Exact-equality comparison of two monitor events, down to f64 bit
 /// patterns inside explanations (plain `==` would let `-0.0 == 0.0` slip
-/// through the "byte-identical" claim).
-fn assert_same_event(a: &MonitorEvent, b: &MonitorEvent, ctx: &str) {
+/// through the "byte-identical" claim). A `Stable` event carries no
+/// statistic; with `poll`, both monitors' exact outcomes are compared
+/// through `outcome_current`.
+fn assert_same_event(
+    (a, mon_a): (&MonitorEvent, &mut DriftMonitor),
+    (b, mon_b): (&MonitorEvent, &mut DriftMonitor),
+    poll: bool,
+    ctx: &str,
+) {
     match (a, b) {
         (
             MonitorEvent::Warming { seen: s1, needed: n1 },
@@ -21,8 +28,12 @@ fn assert_same_event(a: &MonitorEvent, b: &MonitorEvent, ctx: &str) {
             assert_eq!(s1, s2, "{ctx}");
             assert_eq!(n1, n2, "{ctx}");
         }
-        (MonitorEvent::Stable { outcome: o1 }, MonitorEvent::Stable { outcome: o2 }) => {
-            assert_eq!(o1, o2, "{ctx}");
+        (MonitorEvent::Stable, MonitorEvent::Stable) => {
+            if poll {
+                let (o1, o2) = (mon_a.outcome_current(), mon_b.outcome_current());
+                assert!(o1.is_some(), "a stable monitor has full windows ({ctx})");
+                assert_eq!(o1, o2, "{ctx}");
+            }
         }
         (
             MonitorEvent::Drift { outcome: o1, explanation: e1, size: k1 },
@@ -49,8 +60,16 @@ fn assert_same_event(a: &MonitorEvent, b: &MonitorEvent, ctx: &str) {
 /// Interrupt `monitor`-to-be at `cut`: run one monitor uninterrupted over
 /// `series`, and a second that is snapshotted at `cut`, serialized,
 /// deserialized, restored, and fed the remainder. Every post-cut event
-/// pair must match exactly.
+/// pair must match exactly: once with both monitors' exact outcomes
+/// compared after every stable push, and once left unpolled, so that
+/// both skip the checks a push cannot need.
 fn check_cut(cfg: MonitorConfig, series: &[f64], cut: usize) {
+    for poll in [true, false] {
+        check_cut_polled(cfg, series, cut, poll);
+    }
+}
+
+fn check_cut_polled(cfg: MonitorConfig, series: &[f64], cut: usize, poll: bool) {
     let mut uninterrupted = DriftMonitor::new(cfg).unwrap();
     let mut live = DriftMonitor::new(cfg).unwrap();
     for &x in &series[..cut] {
@@ -72,9 +91,11 @@ fn check_cut(cfg: MonitorConfig, series: &[f64], cut: usize) {
     for (i, &x) in series[cut..].iter().enumerate() {
         let a = uninterrupted.try_push(x);
         let b = restored.try_push(x);
-        let ctx = format!("cut = {cut}, offset = {i}");
+        let ctx = format!("cut = {cut}, offset = {i}, poll = {poll}");
         match (a, b) {
-            (Ok(ea), Ok(eb)) => assert_same_event(&ea, &eb, &ctx),
+            (Ok(ea), Ok(eb)) => {
+                assert_same_event((&ea, &mut uninterrupted), (&eb, &mut restored), poll, &ctx)
+            }
             (Err(ea), Err(eb)) => assert_eq!(ea, eb, "{ctx}"),
             other => panic!("acceptance diverges: {other:?} ({ctx})"),
         }

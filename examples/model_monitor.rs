@@ -48,7 +48,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         };
 
         match monitor.push(x) {
-            MonitorEvent::Warming { .. } | MonitorEvent::Stable { .. } => {}
+            MonitorEvent::Warming { .. } | MonitorEvent::Stable => {}
             MonitorEvent::Drift { outcome, explanation, .. } => {
                 println!(
                     "t = {t:>5} [{regime}]: DRIFT  D = {:.3} (threshold {:.3})",

@@ -31,14 +31,16 @@ fn monitor_consumes_nab_series_and_agrees_with_batch_checks() {
         let lo = i + 1 - 2 * w;
         let batch =
             ks_statistic(&series.values[lo..lo + w], &series.values[lo + w..i + 1]).unwrap();
-        let stat = match event {
-            MonitorEvent::Stable { outcome } => outcome.statistic,
-            MonitorEvent::Drift { outcome, .. } => {
+        let outcome = monitor.outcome_current().expect("past warm-up");
+        match event {
+            MonitorEvent::Stable => assert!(outcome.passes(), "i = {i}"),
+            MonitorEvent::Drift { outcome: alarm, .. } => {
+                assert_eq!(alarm, outcome, "i = {i}");
                 alarms += 1;
-                outcome.statistic
             }
             MonitorEvent::Warming { .. } => panic!("past warm-up at i = {i}"),
-        };
+        }
+        let stat = outcome.statistic;
         assert!((stat - batch).abs() < 1e-12, "i = {i}: {stat} vs {batch}");
         checked += 1;
     }
